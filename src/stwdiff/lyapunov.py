@@ -15,8 +15,6 @@ produce spurious violations) against extreme admissible disturbances.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -25,6 +23,9 @@ import numpy as np
 from .params import NoiseLevel, Params
 
 W1, W2, W3 = "W1", "W2", "W3"
+
+# States per certifier block; peak memory scales with this, not with the grid.
+_BLOCK_STATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ class GridSpec:
     n2: int
 
     def __post_init__(self):
+        if not all(math.isfinite(b) for b in (self.x1_min, self.x1_max, self.x2_min, self.x2_max)):
+            raise ValueError("grid bounds must be finite")
         if self.n1 < 1 or self.n2 < 1 or self.x1_min >= self.x1_max or self.x2_min >= self.x2_max:
             raise ValueError("grid must span a nonempty box with at least one point per axis")
 
@@ -102,56 +105,52 @@ class GridSpec:
         )
 
 
-def _mirror(x1, x2):
-    """Map onto the x2 >= 0 half plane where the template W is defined."""
+def _thresholds(x: ErrorState, p: Params):
+    """Mirrored state (z1, z2) and region thresholds (t1, t2) of one state.
+
+    The mirror maps x2 < 0 onto the half plane where the template W is
+    defined; t1 = z2^2 / (4 alpha (lambda2+1) L) and t2 = (2 alpha + 1) t1.
+    """
+    z1, z2 = (x.x1, x.x2) if x.x2 >= 0 else (-x.x1, -x.x2)
+    t1 = z2 * z2 / (4.0 * p.alpha * ((p.lambda2 + 1.0) * p.L))
+    return z1, z2, t1, (2.0 * p.alpha + 1.0) * t1
+
+
+def _thresholds_grid(x1, x2, p: Params):
+    """Array form of `_thresholds`, plus the value of V: (z1, z2, t1, t2, V)."""
     flip = x2 < 0
-    return np.where(flip, -x1, x1), np.where(flip, -x2, x2), flip
+    z1, z2 = np.where(flip, -x1, x1), np.where(flip, -x2, x2)
+    lam2p1L = (p.lambda2 + 1.0) * p.L
+    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
+    t2 = (2.0 * p.alpha + 1.0) * t1
+    v = np.where(z1 <= t1, 2.0 * t1 - z1, np.where(z1 <= t2, t1, z1 - z2 * z2 / (2.0 * lam2p1L)))
+    return z1, z2, t1, t2, v
 
 
 def region(x: ErrorState, p: Params) -> Region:
     """Classify the state into W1 / W2 / W3 after the x2-sign mirror.
 
     Boundaries follow the closed/half-open pattern of the definition:
-    W1 for z1 <= t1, W2 for t1 < z1 <= t2, W3 beyond, with
-    t1 = z2^2 / (4 alpha (lambda2+1) L) and t2 = (2 alpha + 1) t1.
+    W1 for z1 <= t1, W2 for t1 < z1 <= t2, W3 beyond.
     """
-    mirrored = x.x2 < 0
-    z1 = -x.x1 if mirrored else x.x1
-    z2 = -x.x2 if mirrored else x.x2
-    t1 = z2 * z2 / (4.0 * p.alpha * (p.lambda2 + 1.0) * p.L)
-    if z1 <= t1:
-        idx = W1
-    elif z1 <= (2.0 * p.alpha + 1.0) * t1:
-        idx = W2
-    else:
-        idx = W3
-    return Region(index=idx, mirrored=mirrored)
+    z1, _, t1, t2 = _thresholds(x, p)
+    idx = W1 if z1 <= t1 else W2 if z1 <= t2 else W3
+    return Region(index=idx, mirrored=x.x2 < 0)
 
 
 def evaluate(x: ErrorState, p: Params) -> float:
     """Value of the piecewise Lyapunov function; nonnegative, zero only at 0."""
-    z1 = x.x1 if x.x2 >= 0 else -x.x1
-    z2 = x.x2 if x.x2 >= 0 else -x.x2
-    lam2p1L = (p.lambda2 + 1.0) * p.L
-    q = z2 * z2 / (4.0 * p.alpha * lam2p1L)
-    if z1 <= q:
-        return 2.0 * q - z1
-    if z1 <= (2.0 * p.alpha + 1.0) * q:
-        return q
-    return z1 - z2 * z2 / (2.0 * lam2p1L)
+    z1, z2, t1, t2 = _thresholds(x, p)
+    if z1 <= t1:
+        return 2.0 * t1 - z1
+    if z1 <= t2:
+        return t1
+    return z1 - z2 * z2 / (2.0 * ((p.lambda2 + 1.0) * p.L))
 
 
 def evaluate_grid(x1, x2, p: Params) -> np.ndarray:
     """Vectorized `evaluate` over arrays of coordinates."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    z1, z2, _ = _mirror(x1, x2)
-    lam2p1L = (p.lambda2 + 1.0) * p.L
-    q = z2 * z2 / (4.0 * p.alpha * lam2p1L)
-    v_w1 = 2.0 * q - z1
-    v_w2 = q
-    v_w3 = z1 - z2 * z2 / (2.0 * lam2p1L)
-    return np.where(z1 <= q, v_w1, np.where(z1 <= (2.0 * p.alpha + 1.0) * q, v_w2, v_w3))
+    return _thresholds_grid(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float), p)[4]
 
 
 def sup_x2_on_omega(p: Params, n: NoiseLevel) -> float:
@@ -220,62 +219,17 @@ def _wdot_branch(branch, z1, z2, eta, fddot, p: Params):
     return dz1 - z2 * dz2 / lam2p1L
 
 
-def vdot_analytic(x: ErrorState, p: Params, eta: float, fddot: float) -> float:
-    """Time derivative of V at x under disturbances (eta, fddot), per-region form.
-
-    At x2 < 0 the mirror is applied to both the state and the disturbances,
-    which leaves the admissible disturbance box invariant.
-    """
-    reg = region(x, p)
-    if reg.mirrored:
-        z1, z2, e, g = -x.x1, -x.x2, -eta, -fddot
-    else:
-        z1, z2, e, g = x.x1, x.x2, eta, fddot
-    branch = {W1: 0, W2: 1, W3: 2}[reg.index]
-    return float(_wdot_branch(branch, z1, z2, e, g, p))
-
-
-def vdot_one_sided(x: ErrorState, p: Params, eta: float, fddot: float, h: float = 1e-8) -> float:
-    """One-sided finite-difference estimate of V-dot along the frozen vector field.
-
-    Cross-check only; unreliable within O(h) of the region boundaries and
-    of the sign discontinuity x1 = eta.
-    """
-    arg = x.x1 - eta
-    s = math.copysign(1.0, arg) if arg != 0 else 0.0
-    dx1 = -p.lambda1 * math.sqrt(p.L) * s * math.sqrt(abs(arg)) + x.x2
-    dx2 = -p.lambda2 * p.L * s - fddot
-    ahead = ErrorState(x.x1 + h * dx1, x.x2 + h * dx2)
-    return (evaluate(ahead, p) - evaluate(x, p)) / h
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("STWDIFF_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v, base_index):
     """Check one block of grid states; returns violation tuples keyed by grid index."""
-    lam2p1L = (p.lambda2 + 1.0) * p.L
     N, L = n.N, p.L
-    z1, z2, _ = _mirror(x1v, x2v)
-    q = z2 * z2 / (4.0 * p.alpha * lam2p1L)
-    v = np.where(z1 <= q, 2.0 * q - z1, np.where(z1 <= (2.0 * p.alpha + 1.0) * q, q, z1 - z2 * z2 / (2.0 * lam2p1L)))
-    active = v > N + margin
-    if not np.any(active):
+    z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
+    idx = np.nonzero(v > N + margin)[0]
+    if idx.size == 0:
         return []
 
-    idx = np.nonzero(active)[0]
-    z1, z2, v = z1[idx], z2[idx], v[idx]
+    z1, z2, t1, t2, v = z1[idx], z2[idx], t1[idx], t2[idx], v[idx]
     x1v, x2v = x1v[idx], x2v[idx]
     gi = base_index + idx
-    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
-    t2 = (2.0 * p.alpha + 1.0) * t1
     branch = np.where(z1 <= t1, 0, np.where(z1 <= t2, 1, 2))
     eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
     near_t1 = np.abs(z1 - t1) <= eps_cell
@@ -350,32 +304,23 @@ def verify_decrease(
     derivatives.  When `gamma` is omitted it is taken from
     :func:`decay_rate_gamma`, which requires the gain condition to hold;
     passing `gamma` explicitly skips that requirement (mutation probes).
-
-    Set STWDIFF_THREADS to split the grid into independent row chunks; the
-    returned list is ordered by grid index regardless of thread count.
+    Raises ValueError when `gamma`, `margin` or `tolerance` is not finite.
+    The grid is checked in blocks of whole rows (about 2**16 states), so
+    peak memory does not grow with the grid; the list is ordered by grid index.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
+    if not all(math.isfinite(v) for v in (gamma, margin, tolerance)):
+        raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
     x1s, x2s = grid.axes()
-    xx1 = np.repeat(x1s, grid.n2)
-    xx2 = np.tile(x2s, grid.n1)
+    rows = max(1, _BLOCK_STATES // grid.n2)
 
-    threads = _thread_count()
-    total = xx1.size
-    if threads <= 1 or total < 2 * grid.n2:
-        records = _verify_chunk(p, n, gamma, margin, tolerance, xx1, xx2, 0)
-    else:
-        bounds = np.linspace(0, total, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _verify_chunk, p, n, gamma, margin, tolerance, xx1[a:b], xx2[a:b], int(a)
-                )
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            records = [rec for fut in futures for rec in fut.result()]
+    def block(r0):
+        x1v = np.repeat(x1s[r0 : r0 + rows], grid.n2)
+        x2v = np.tile(x2s, x1v.size // grid.n2)
+        return _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v, r0 * grid.n2)
 
+    records = [rec for r0 in range(0, grid.n1, rows) for rec in block(r0)]
     records.sort(key=lambda r: (r[0], r[1], r[2]))
     return [rec[3] for rec in records]
 

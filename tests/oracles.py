@@ -3,11 +3,16 @@
 Every closed form is re-derived here with 50-digit decimal arithmetic on
 the exact binary values of the float inputs, so the package results can be
 compared at the ulp level.  The implicit-step oracle solves the scalar
-generalized equation by bisection instead of the closed form.
+generalized equation by bisection instead of the closed form.  The V-dot
+pair cross-checks the certifier's per-branch derivative against a finite
+difference of V.
 """
 
 import math
 from decimal import Decimal, localcontext
+
+from stwdiff import ErrorState, Params, evaluate, region
+from stwdiff.lyapunov import _wdot_branch
 
 PREC = 50
 
@@ -120,3 +125,32 @@ def bisect_sigma(r: float, a: float, b: float, iters: int = 200) -> tuple[float,
             break
     m = 0.5 * (lo + hi)
     return math.copysign(m, r), math.copysign(1.0, r)
+
+
+def vdot_analytic(x: ErrorState, p: Params, eta: float, fddot: float) -> float:
+    """Time derivative of V at x under disturbances (eta, fddot), per-region form.
+
+    At x2 < 0 the mirror is applied to both the state and the disturbances,
+    which leaves the admissible disturbance box invariant.
+    """
+    reg = region(x, p)
+    if reg.mirrored:
+        z1, z2, e, g = -x.x1, -x.x2, -eta, -fddot
+    else:
+        z1, z2, e, g = x.x1, x.x2, eta, fddot
+    branch = {"W1": 0, "W2": 1, "W3": 2}[reg.index]
+    return float(_wdot_branch(branch, z1, z2, e, g, p))
+
+
+def vdot_one_sided(x: ErrorState, p: Params, eta: float, fddot: float, h: float = 1e-8) -> float:
+    """One-sided finite-difference estimate of V-dot along the frozen vector field.
+
+    Cross-check only; unreliable within O(h) of the region boundaries and
+    of the sign discontinuity x1 = eta.
+    """
+    arg = x.x1 - eta
+    s = math.copysign(1.0, arg) if arg != 0 else 0.0
+    dx1 = -p.lambda1 * math.sqrt(p.L) * s * math.sqrt(abs(arg)) + x.x2
+    dx2 = -p.lambda2 * p.L * s - fddot
+    ahead = ErrorState(x.x1 + h * dx1, x.x2 + h * dx2)
+    return (evaluate(ahead, p) - evaluate(x, p)) / h

@@ -134,6 +134,16 @@ class TestVerifyLyapunov:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 1 + int(kv["violations"])
 
+    def test_non_finite_inputs_exit_two(self, capsys):
+        # With the reference gamma this mutant grid has 6650 violations; a NaN
+        # must not turn that into a vacuous pass.
+        base = ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "100x100"]
+        for extra in (["--gamma", "nan"], ["--gamma", "0.0012196936161602047", "--box=nan,3,-3,3"]):
+            code, out, err = run_cli(capsys, base + extra)
+            assert code == 2
+            assert "must be finite" in err
+            assert "violations=" not in out + err
+
     def test_condition_violation_without_gamma_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "10x10"])
         assert code == 1

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -19,7 +20,7 @@ from stwdiff import (
     validate_condition,
     verify_decrease,
 )
-from stwdiff.lyapunov import vdot_analytic, vdot_one_sided, write_violations_csv
+from stwdiff.lyapunov import _thresholds_grid, write_violations_csv
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 # Parameter set of the contour figure: alpha (lambda2 + 1) L = 4.
@@ -61,6 +62,41 @@ class TestRegionAndValue:
         assert region(ErrorState(t1 * (1 + 1e-12), z2), P_CONTOUR).index == "W2"
         assert region(ErrorState(t2, z2), P_CONTOUR).index == "W2"
         assert region(ErrorState(t2 * (1 + 1e-12), z2), P_CONTOUR).index == "W3"
+
+    def test_state_on_first_threshold_is_w1_for_random_gains(self):
+        # region and evaluate share one threshold expression, so a state
+        # placed exactly on t1 lands in W1 whatever the rounding of t1.
+        rng = np.random.default_rng(71)
+        for _ in range(2000):
+            lam2, L, alpha = rng.uniform(0.1, 5.0), rng.uniform(0.01, 10.0), rng.uniform(1.001, 4.0)
+            p = Params(4.1, lam2, L, alpha)
+            z2 = rng.uniform(0.01, 5.0)
+            t1 = z2 * z2 / (4.0 * alpha * ((lam2 + 1.0) * L))
+            sign = rng.choice([-1.0, 1.0])
+            assert region(ErrorState(sign * t1, sign * z2), p).index == "W1", (lam2, L, alpha, z2)
+
+    def test_scalar_forms_match_array_forms_bit_for_bit(self):
+        rng = np.random.default_rng(72)
+        drawn = [Params(4.1, rng.uniform(0.1, 5.0), rng.uniform(0.01, 10.0), rng.uniform(1.001, 4.0)) for _ in range(8)]
+        for p in [P_REF, P_CONTOUR] + drawn:
+            x1 = list(rng.uniform(-5, 5, 400))
+            x2 = list(rng.uniform(-5, 5, 400))
+            for z2 in rng.uniform(0.01, 5.0, 50):
+                t1 = z2 * z2 / (4.0 * p.alpha * ((p.lambda2 + 1.0) * p.L))
+                t2 = (2.0 * p.alpha + 1.0) * t1
+                x1 += [t1, t2, -t1, -t2]
+                x2 += [z2, z2, -z2, -z2]
+            for zero in (0.0, -0.0):
+                x1 += [0.0, -0.0, 1.5, -1.5]
+                x2 += [zero] * 4
+            x1, x2 = np.array(x1), np.array(x2)
+            scalar = np.array([evaluate(ErrorState(a, b), p) for a, b in zip(x1, x2)])
+            assert np.array_equal(scalar.view(np.int64), evaluate_grid(x1, x2, p).view(np.int64))
+            z1, _, t1, t2, _ = _thresholds_grid(x1, x2, p)
+            branch = np.where(z1 <= t1, "W1", np.where(z1 <= t2, "W2", "W3"))
+            regions = [region(ErrorState(a, b), p) for a, b in zip(x1, x2)]
+            assert [r.index for r in regions] == list(branch)
+            assert [r.mirrored for r in regions] == list(x2 < 0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
@@ -208,8 +244,8 @@ class TestVdot:
             # Stay away from region borders, the mirror axis, and the sign kink.
             if min(abs(z1 - t1), abs(z1 - t2)) < 1e-2 or abs(x2) < 1e-2 or abs(x1 - eta) < 1e-2:
                 continue
-            ana = vdot_analytic(ErrorState(x1, x2), P_REF, eta, fddot)
-            fd = vdot_one_sided(ErrorState(x1, x2), P_REF, eta, fddot, h=1e-7)
+            ana = oracles.vdot_analytic(ErrorState(x1, x2), P_REF, eta, fddot)
+            fd = oracles.vdot_one_sided(ErrorState(x1, x2), P_REF, eta, fddot, h=1e-7)
             assert fd == pytest.approx(ana, rel=1e-4, abs=1e-6)
             checked += 1
 
@@ -240,15 +276,38 @@ class TestVerifyDecrease:
             GridSpec(0.0, 0.0, -1.0, 1.0, 10, 10)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, -1.0, 1.0, 0, 10)
+        # NaN fails every comparison, so it would pass the box check vacuously.
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(4):
+                bounds = [-1.0, 1.0, -1.0, 1.0]
+                bounds[i] = bad
+                with pytest.raises(ValueError):
+                    GridSpec(*bounds, 10, 10)
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 10, 10)
+        for bad in (math.nan, math.inf):
+            for key in ("gamma", "margin", "tolerance"):
+                with pytest.raises(ValueError):
+                    verify_decrease(P_REF, NoiseLevel(0.01), grid, **{key: bad})
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
+    # sha256 of the violations CSV written by the original whole-grid
+    # certifier: a grid whose row count is not a multiple of a block, a
+    # one-row grid, and rows longer than a whole block.
+    @pytest.mark.parametrize(
+        "box, n1, n2, count, digest",
+        [
+            ((-1.5, 1.5, -1.5, 1.5), 401, 397, 51546, "2c878664d27df985b70e40b4dc34068e9c3bbd02a282a30275ca51372b001a81"),
+            ((0.3, 1.5, -1.5, 1.5), 1, 900, 728, "09a085af49e33f757880e97091945c015d620ebba7387321aec0f49739418c2f"),
+            ((-1.5, 1.5, -1.5, 1.5), 3, 70000, 4712, "7ff3daffc81e01add4f04d85f4021bf9a5271c1c53a504cff66fa5cabb96ac58"),
+        ],
+    )
+    def test_mutant_violations_match_golden_csv(self, box, n1, n2, count, digest):
         gamma = decay_rate_gamma(P_REF).gamma
         bad = Params(4.1, 0.5, 1.0, 4.0)
-        grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 50, 50)
-        serial = verify_decrease(bad, NoiseLevel(0.01), grid, gamma=gamma)
-        monkeypatch.setenv("STWDIFF_THREADS", "4")
-        threaded = verify_decrease(bad, NoiseLevel(0.01), grid, gamma=gamma)
-        assert threaded == serial
+        violations = verify_decrease(bad, NoiseLevel(0.01), GridSpec(*box, n1, n2), gamma=gamma)
+        buf = io.StringIO()
+        write_violations_csv(buf, violations)
+        assert len(violations) == count
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_violations_csv_format(self):
         gamma = decay_rate_gamma(P_REF).gamma
