@@ -49,8 +49,8 @@ class StepScheme:
     def __post_init__(self):
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def init(u0: float) -> DiffState:

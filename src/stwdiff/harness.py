@@ -12,6 +12,7 @@ invariant-set and decrease checks a post-processing step.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -98,15 +99,23 @@ def _finalize(ts, us, fs, fds, y1s, y2s, p: Params, dt: float) -> TrajectoryReco
 
 
 def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
-    """Run the differentiator on u = f + eta from the standard initialization."""
+    """Run the differentiator on u = f + eta from the standard initialization.
+
+    The inputs come from `pair.sample` over the whole time grid when the pair
+    has it, and from its scalar evaluators one sample at a time otherwise.
+    """
     dt = cfg.scheme.dt
     n = cfg.steps
     ts = np.arange(n + 1) * dt
 
-    f, eta, fdot = pair.f, pair.eta, pair.fdot
-    fs = np.fromiter((f(t) for t in ts), dtype=float, count=n + 1)
-    us = np.fromiter((fs[k] + eta(ts[k]) for k in range(n + 1)), dtype=float, count=n + 1)
-    fds = np.fromiter((fdot(t) for t in ts), dtype=float, count=n + 1)
+    if pair.sample is not None:
+        fs, fds, etas = pair.sample(ts)
+        us = fs + etas
+    else:
+        f, eta, fdot = pair.f, pair.eta, pair.fdot
+        fs = np.fromiter((f(t) for t in ts), dtype=float, count=n + 1)
+        us = np.fromiter((fs[k] + eta(ts[k]) for k in range(n + 1)), dtype=float, count=n + 1)
+        fds = np.fromiter((fdot(t) for t in ts), dtype=float, count=n + 1)
 
     y1s = np.empty(n + 1)
     y2s = np.empty(n + 1)
@@ -276,16 +285,27 @@ def contour_grid(
     return x1s, x2s, evaluate_grid(g1, g2, p)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+# Rows formatted per write: bounds the text held in memory at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _write_rows(fileobj, header: str, cols) -> None:
+    """Write the header line, then one row per index of the equal-length columns.
+
+    Every value is printed with 17 significant digits, so parsing the text
+    back gives the same float64 bits.
+    """
+    fileobj.write(header + "\n")
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    for lo in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
+        chunk = [c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in cols]
+        fileobj.write("".join(map(row.format, *chunk)))
 
 
 def write_trajectory_csv(fileobj, rec: TrajectoryRecord) -> None:
     """Emit the record with 17 significant digits (bit-exact round trip)."""
-    fileobj.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-    cols = [rec.column(name) for name in TRAJECTORY_COLUMNS]
-    for row in zip(*cols):
-        fileobj.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_rows(fileobj, ",".join(TRAJECTORY_COLUMNS), [rec.column(name) for name in TRAJECTORY_COLUMNS])
 
 
 def read_trajectory_csv(fileobj) -> TrajectoryRecord:
@@ -293,9 +313,16 @@ def read_trajectory_csv(fileobj) -> TrajectoryRecord:
     header = fileobj.readline().strip()
     if tuple(header.split(",")) != TRAJECTORY_COLUMNS:
         raise ValueError(f"unexpected trajectory header {header!r}")
-    data = [[float(v) for v in line.strip().split(",")] for line in fileobj if line.strip()]
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(TRAJECTORY_COLUMNS):
+    body = (line for line in fileobj if line.strip())  # skip blank lines
+    with warnings.catch_warnings():
+        # loadtxt warns on an empty body and returns shape (0, 1), which the
+        # column check below rejects.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"malformed trajectory CSV: {exc}") from exc
+    if arr.shape[1] != len(TRAJECTORY_COLUMNS):
         raise ValueError("malformed trajectory CSV")
     cols = {name: arr[:, i] for i, name in enumerate(TRAJECTORY_COLUMNS)}
     dt = float(cols["t"][1] - cols["t"][0]) if cols["t"].size > 1 else 0.0
@@ -304,7 +331,4 @@ def read_trajectory_csv(fileobj) -> TrajectoryRecord:
 
 def write_contour_csv(fileobj, x1s: np.ndarray, x2s: np.ndarray, V: np.ndarray) -> None:
     """Emit the contour grid as x1,x2,V rows in x1-major order."""
-    fileobj.write("x1,x2,V\n")
-    for i, x1 in enumerate(x1s):
-        for j, x2 in enumerate(x2s):
-            fileobj.write(f"{_fmt(x1)},{_fmt(x2)},{_fmt(V[i, j])}\n")
+    _write_rows(fileobj, "x1,x2,V", [np.repeat(x1s, len(x2s)), np.tile(x2s, len(x1s)), V.ravel()])

@@ -27,12 +27,10 @@ class Params:
     alpha: float
 
     def __post_init__(self):
-        if not self.lambda1 > 0:
-            raise ValueError(f"lambda1 must be positive, got {self.lambda1}")
-        if not self.lambda2 > 0:
-            raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        for name in ("lambda1", "lambda2", "L"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 1.0 < self.alpha <= 4.0:
             raise ValueError(f"alpha must lie in (1, 4], got {self.alpha}")
 
@@ -44,8 +42,8 @@ class NoiseLevel:
     N: float
 
     def __post_init__(self):
-        if not self.N >= 0:
-            raise ValueError(f"noise bound N must be nonnegative, got {self.N}")
+        if not (self.N >= 0 and math.isfinite(self.N)):
+            raise ValueError(f"noise bound N must be nonnegative and finite, got {self.N}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Signals are pure time evaluators (closures over their constants) rather
 than sampled arrays, so simulation schemes can probe them at arbitrary
-times and runs stay bit-reproducible.
+times and runs stay bit-reproducible.  The built-in pairs also carry an
+array form, `sample`, that evaluates (f, fdot, eta) over a whole time grid
+with the same floating-point operations as the scalar closures.
 
 Provided pairs:
   * quadratic signal +-L t^2 / 2 with the square-wave switching noise,
@@ -18,9 +20,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .differentiator import DiffState
 
 TimeFn = Callable[[float], float]
+GridFn = Callable[[np.ndarray], np.ndarray]
+SampleFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -28,7 +34,9 @@ class SignalPair:
     """A concrete (f, eta) realization with certified bounds.
 
     `fddot` may be None for externally supplied signals; membership checks
-    then fall back to second differences.
+    then fall back to second differences.  `sample`, when set, maps an array
+    of nonnegative times to the arrays (f, fdot, eta) and must agree bit for
+    bit with the scalar evaluators; `simulate` uses it in place of them.
     """
 
     f: TimeFn
@@ -39,6 +47,7 @@ class SignalPair:
     N_cert: float
     description: str
     degenerate: bool = False
+    sample: Optional[SampleFn] = None
 
     def u(self, t: float) -> float:
         """Measured input f(t) + eta(t)."""
@@ -70,6 +79,17 @@ def switching_noise(t: float, N: float, c1: float, c2: float) -> float:
     if s > c2:
         return -N
     return 0.0
+
+
+def _switching_noise_grid(ts: np.ndarray, N: float, c1: float, c2: float) -> np.ndarray:
+    """`switching_noise` over an array of times, value for value."""
+    if ts.size and not ts.min() >= 0.0:
+        raise ValueError(f"noise defined for t >= 0, got {ts.min()}")
+    s = ts - c1 * np.floor(ts / c1)
+    s = np.where(s < 0.0, s + c1, np.where(s >= c1, s - c1, s))
+    eta = np.where(s < c2, N, np.where(s > c2, -N, 0.0))
+    eta[ts < 10.0 * c1] = -N
+    return eta
 
 
 def quadratic_signal(t: float, L: float, sign: float) -> tuple[float, float, float]:
@@ -128,17 +148,12 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
     """
     if spec.lambda2 < 1.0:
         L, N = spec.L, spec.N
-        return SignalPair(
-            f=lambda t: L * t * t / 2.0,
-            fdot=lambda t: L * t,
-            fddot=lambda t: L,
-            eta=lambda t: N,
-            L_cert=L,
-            N_cert=N,
-            description=f"divergence pair for lambda2 < 1 (L={L}, N={N}): error grows without bound",
-        )
+        eta, eta_grid = _constant_noise(N)
+        desc = f"divergence pair for lambda2 < 1 (L={L}, N={N}): error grows without bound"
+        return _quadratic_pair(L, 1.0, eta, eta_grid, N, desc)
 
     lam2p1 = spec.lambda2 + 1.0
+    t0 = spec.tau - spec.theta
 
     def f(t: float) -> float:
         return _ramp(spec, t)[0]
@@ -151,6 +166,15 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
 
     def eta(t: float) -> float:
         return max(-spec.N, spec.N - lam2p1 * _ramp(spec, t)[0])
+
+    def sample(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # _ramp and max(-N, .) over the grid, one ramp evaluation per time.
+        # np.where mirrors max exactly; np.maximum would propagate a NaN.
+        d = ts - t0
+        before = ts < t0
+        fv = np.where(before, 0.0, spec.L * d * d / 2.0)
+        x = spec.N - lam2p1 * fv
+        return fv, np.where(before, 0.0, spec.L * d), np.where(x > -spec.N, x, -spec.N)
 
     degenerate = spec.N == 0.0
     desc = (
@@ -168,6 +192,7 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
         N_cert=spec.N,
         description=desc,
         degenerate=degenerate,
+        sample=sample,
     )
 
 
@@ -260,35 +285,47 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
     if sgn not in (-1.0, 1.0):
         raise ValueError(f"quadratic sign must be +1 or -1, got {sgn}")
 
-    def f(t: float, L=L, sgn=sgn) -> float:
-        return sgn * L * t * t / 2.0
-
-    def fdot(t: float, L=L, sgn=sgn) -> float:
-        return sgn * L * t
-
-    def fddot(t: float, L=L, sgn=sgn) -> float:
-        return sgn * L
-
-    if noi_name == "none":
-        eta: TimeFn = lambda t: 0.0
-        n_cert = 0.0
-        noise_desc = "no noise"
-    elif noi_name == "constant":
-        value = noi_kv.get("N", noi_kv.get("n", default_N))
-        eta = lambda t, value=value: value
+    if noi_name in ("none", "constant"):
+        value = 0.0 if noi_name == "none" else noi_kv.get("N", noi_kv.get("n", default_N))
+        eta, eta_grid = _constant_noise(value)
         n_cert = abs(value)
-        noise_desc = f"constant noise {value}"
+        noise_desc = "no noise" if noi_name == "none" else f"constant noise {value}"
     elif noi_name == "switching":
         N = noi_kv.get("N", noi_kv.get("n", default_N))
         c1 = noi_kv.get("c1", 0.011)
         c2 = noi_kv.get("c2", 0.00149)
         if not 0.0 < c2 < c1:
             raise ValueError(f"switching noise needs 0 < c2 < c1, got c1={c1}, c2={c2}")
-        eta = lambda t, N=N, c1=c1, c2=c2: switching_noise(t, N, c1, c2)
+        eta = lambda t: switching_noise(t, N, c1, c2)
+        eta_grid = lambda ts: _switching_noise_grid(ts, N, c1, c2)
         n_cert = abs(N)
         noise_desc = f"switching noise N={N}, c1={c1}, c2={c2}"
     else:
         raise ValueError(f"unknown noise kind {noi_name!r} (expected switching, constant, none, worstcase)")
+
+    desc = f"quadratic signal sign={sgn:+.0f}, L={L}; {noise_desc}"
+    return _quadratic_pair(L, sgn, eta, eta_grid, n_cert, desc)
+
+
+def _constant_noise(value: float) -> tuple[TimeFn, GridFn]:
+    """Scalar and array forms of the noise eta(t) = value."""
+    return (lambda t: value), (lambda ts: np.full(ts.shape, value, dtype=float))
+
+
+def _quadratic_pair(L: float, sgn: float, eta: TimeFn, eta_grid: GridFn, n_cert: float, description: str) -> SignalPair:
+    """Signal sgn * L t^2 / 2 under the noise `eta`, whose array form is `eta_grid`."""
+
+    def f(t: float) -> float:
+        return sgn * L * t * t / 2.0
+
+    def fdot(t: float) -> float:
+        return sgn * L * t
+
+    def fddot(t: float) -> float:
+        return sgn * L
+
+    def sample(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return sgn * L * ts * ts / 2.0, sgn * L * ts, eta_grid(ts)
 
     return SignalPair(
         f=f,
@@ -297,5 +334,6 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
         eta=eta,
         L_cert=abs(L),
         N_cert=n_cert,
-        description=f"quadratic signal sign={sgn:+.0f}, L={L}; {noise_desc}",
+        description=description,
+        sample=sample,
     )

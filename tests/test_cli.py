@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from stwdiff.cli import main
@@ -106,6 +108,22 @@ class TestSimulate:
         sup = float(kv["sup_error_after_tau"])
         assert 0.29 <= sup <= float(kv["bound_upper"])
 
+    def test_default_csv_matches_golden_digest(self, capsys, tmp_path):
+        # sha256 of `stwdiff simulate --out` with every flag at its default:
+        # pins the trajectory CSV bytes, number format included.
+        out_path = tmp_path / "ref.csv"
+        assert run_cli(capsys, ["simulate", "--out", str(out_path)])[0] == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "fa3e50b5f8916e19d9037c186beb01d5637d9c95b3372da2682f78f5c0c57276"
+
+    @pytest.mark.parametrize("flag", ["--L", "--N", "--lambda1", "--lambda2", "--dt"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_inputs_exit_two(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, ["simulate", "--horizon", "0.01", "--tau", "0.005", flag, value])
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
 
 class TestVerifyLyapunov:
     def test_valid_gains_exit_zero(self, capsys):
@@ -164,6 +182,12 @@ class TestContour:
         assert rows[(0.0, 0.0)] == 0.0
         assert rows[(1.0, 0.0)] == 1.0
         assert rows[(0.0, 2.0)] == 0.5
+
+    def test_default_csv_matches_golden_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "contour.csv"
+        assert run_cli(capsys, ["contour", "--out", str(out_path)])[0] == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "2c6275d0ec396639abefe80f6dd0126378c12864cdcf60256fdec5069791ac67"
 
     def test_bad_box_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,9 @@ class TestTypes:
             StepScheme("midpoint", 1e-3)
         with pytest.raises(ValueError):
             StepScheme("implicit", 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                StepScheme("explicit", bad)
 
     def test_state_finite(self):
         with pytest.raises(ValueError):

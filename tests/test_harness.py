@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from stwdiff import (
     write_contour_csv,
     write_trajectory_csv,
 )
-from stwdiff.signals import SignalPair
+from stwdiff import harness
+from stwdiff.harness import TRAJECTORY_COLUMNS, TrajectoryRecord
+from stwdiff.signals import SignalPair, WorstCaseSpec, worst_case_pair
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 N_REF = NoiseLevel(0.01)
@@ -110,6 +114,26 @@ class TestSimulate:
     def test_horizon_must_cover_one_step(self):
         with pytest.raises(ValueError):
             SimConfig(StepScheme("implicit", 1e-2), 1e-3, P_REF, N_REF)
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            reference_pair(),
+            parse_pair("quadratic:sign=1,L=2", "constant:N=-0.02", 1.0, 0.01),
+            parse_pair("quadratic", "none", 1.0, 0.01),
+            worst_case_pair(WorstCaseSpec(tau=0.5, lambda2=1.1, N=0.01, L=1.0)),
+            worst_case_pair(WorstCaseSpec(tau=0.5, lambda2=0.9, N=0.01, L=1.0)),
+        ],
+        ids=["switching", "constant", "none", "ramp", "divergence"],
+    )
+    def test_array_sampling_matches_scalar_sampling(self, kind, pair):
+        # Without `sample`, simulate falls back to the scalar evaluators.
+        cfg = SimConfig(StepScheme(kind, 1e-3), 0.5, P_REF, N_REF)
+        rec = simulate(cfg, pair)
+        ref = simulate(cfg, dataclasses.replace(pair, sample=None))
+        for name in TRAJECTORY_COLUMNS:
+            assert np.array_equal(rec.column(name).view(np.uint64), ref.column(name).view(np.uint64)), name
 
 
 class TestErrorSystemEquivalence:
@@ -282,3 +306,38 @@ class TestCsv:
         assert len(lines) == 1 + 9
         row = lines[1 + 1 * 3 + 1].split(",")  # grid point (0, 0)
         assert [float(v) for v in row] == [0.0, 0.0, 0.0]
+
+    def test_special_values_round_trip_bit_for_bit(self):
+        specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308, np.inf, -np.inf])
+        cols = [np.roll(specials, k) for k in range(len(TRAJECTORY_COLUMNS))]
+        rec = TrajectoryRecord(*cols, dt=0.0)
+        buf = io.StringIO()
+        write_trajectory_csv(buf, rec)
+        buf.seek(0)
+        back = read_trajectory_csv(buf)
+        for name in TRAJECTORY_COLUMNS:
+            assert np.array_equal(rec.column(name).view(np.uint64), back.column(name).view(np.uint64)), name
+
+    def test_writer_matches_per_value_format_across_chunks(self):
+        n = 2 * harness._CSV_CHUNK_ROWS + 3
+        cols = np.random.default_rng(5).standard_normal((len(TRAJECTORY_COLUMNS), n)) * 10.0 ** np.arange(-4, 4)[:, None]
+        buf = io.StringIO()
+        write_trajectory_csv(buf, TrajectoryRecord(*cols, dt=0.0))
+        rows = [",".join(format(float(v), ".17g") for v in row) for row in cols.T]
+        assert buf.getvalue() == "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"
+
+    @pytest.mark.parametrize(
+        "body",
+        ["", "# comment\n1,2,3,4,5,6,7,8\n", "1,2,3,4,5,6,7\n", "1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7\n", "1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7,8,9\n"],
+        ids=["header-only", "comment", "short", "ragged-short", "ragged-long"],
+    )
+    def test_malformed_trajectory_rejected_without_warning(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="malformed trajectory CSV"):
+                read_trajectory_csv(io.StringIO("t,u,f,fdot,y1,y2,error,V\n" + body))
+
+    def test_blank_lines_skipped(self):
+        text = "t,u,f,fdot,y1,y2,error,V\n1,2,3,4,5,6,7,8\n\n   \n2,2,3,4,5,6,7,8\n"
+        back = read_trajectory_csv(io.StringIO(text))
+        assert back.t.tolist() == [1.0, 2.0] and back.dt == 1.0

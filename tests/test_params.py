@@ -33,6 +33,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Params(lambda1=4.1, lambda2=1.1, L=1.0, alpha=4.5)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, bad):
+        for field in ("lambda1", "lambda2", "L"):
+            kwargs = {"lambda1": 4.1, "lambda2": 1.1, "L": 1.0, "alpha": 4.0, field: bad}
+            with pytest.raises(ValueError, match="finite"):
+                Params(**kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            NoiseLevel(bad)
+
     def test_params_allows_condition_violating_gains(self):
         # Divergence experiments need lambda2 < 1 to stay representable.
         p = Params(lambda1=4.1, lambda2=0.9, L=1.0, alpha=4.0)

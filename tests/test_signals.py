@@ -192,3 +192,59 @@ class TestParsePair:
             parse_pair("quadratic:sign=2", "none", 1.0, 0.01)
         with pytest.raises(ValueError):
             parse_pair("quadratic:L", "none", 1.0, 0.01)
+
+
+def scalar_columns(pair, ts):
+    """(f, fdot, eta) from the pair's scalar evaluators, one time at a time."""
+    return tuple(np.array([fn(t) for t in ts.tolist()], dtype=float) for fn in (pair.f, pair.fdot, pair.eta))
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def switching_grid(c1, c2):
+    """Times before activation, on and beside multiples of c1 and of c1 plus c2."""
+    k = np.arange(0, 400)
+    edges = np.concatenate([k * c1, k * c1 + c2, [10.0 * c1]])
+    return np.concatenate([np.arange(4000) * 5e-5, edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0)])
+
+
+class TestArraySampling:
+    """Each built-in pair's `sample` gives its scalar evaluators' values bit for bit."""
+
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    @pytest.mark.parametrize(
+        "noise",
+        ["switching:c1=0.011,c2=0.00149", "switching:N=1,c1=0.5,c2=0.125", "constant:N=-0.02", "constant:N=0", "none"],
+    )
+    def test_quadratic_pairs(self, sign, noise):
+        pair = parse_pair(f"quadratic:L=1.7,sign={sign}", noise, 1.0, 0.01)
+        ts = switching_grid(0.5, 0.125) if "c1=0.5" in noise else switching_grid(0.011, 0.00149)
+        want = scalar_columns(pair, ts)
+        assert_same_bits(pair.sample(ts), want)
+        if "c1=0.5" in noise:
+            # Binary-exact constants put s == c2 on the grid: the noise is 0 there.
+            assert np.count_nonzero(want[2] == 0.0) >= 300
+
+    def test_switching_sample_rejects_negative_time(self):
+        pair = parse_pair("quadratic", "switching", 1.0, 0.01)
+        with pytest.raises(ValueError):
+            pair.sample(np.array([0.0, -1e-9]))
+
+    @pytest.mark.parametrize("N", [0.01, 0.0])
+    def test_worst_case_ramp(self, N):
+        spec = WorstCaseSpec(tau=1.0, lambda2=1.1, N=N, L=1.0)
+        pair = worst_case_pair(spec)
+        t0 = spec.tau - spec.theta
+        ts = np.concatenate([np.linspace(0.0, 1.5, 3001), [t0, np.nextafter(t0, 0.0), np.nextafter(t0, 2.0), spec.tau]])
+        want = scalar_columns(pair, ts)
+        assert_same_bits(pair.sample(ts), want)
+        assert want[1][0] == 0.0 and want[1].max() > 0.0  # both sides of the ramp start
+
+    def test_divergence_pair(self):
+        pair = worst_case_pair(WorstCaseSpec(tau=1.0, lambda2=0.9, N=0.01, L=2.0))
+        ts = np.linspace(0.0, 7.0, 2001)
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
