@@ -204,12 +204,15 @@ def cmd_worst_case(args) -> int:
     rec = harness.simulate(cfg, pair)
     achieved = abs(float(rec.error[-1]))
     predicted = params.error_lower_bound(args.lambda2, params.NoiseLevel(args.N), args.L)
-    track = 0.0
-    for k, t in enumerate(rec.t):
-        if t > spec.tau:
-            break
-        ref = signals.sliding_reference(spec, float(t))
-        track = max(track, float(abs(rec.y1[k] - ref.y1)), float(abs(rec.y2[k] - ref.y2)))
+    # The divergence pair used for lambda2 < 1 has no sliding reference to track.
+    track = None
+    if spec.lambda2 >= 1.0:
+        track = 0.0
+        for k, t in enumerate(rec.t):
+            if t > spec.tau:
+                break
+            ref = signals.sliding_reference(spec, float(t))
+            track = max(track, float(abs(rec.y1[k] - ref.y1)), float(abs(rec.y2[k] - ref.y2)))
     summary_out = sys.stdout
     if args.out:
         with _open_out(args.out) as fh:
@@ -219,7 +222,8 @@ def cmd_worst_case(args) -> int:
     print(f"achieved_error={achieved!r}", file=summary_out)
     print(f"predicted_error={predicted!r}", file=summary_out)
     print(f"ratio={achieved / predicted if predicted else math.inf!r}", file=summary_out)
-    print(f"max_tracking_deviation={track!r}", file=summary_out)
+    if track is not None:
+        print(f"max_tracking_deviation={track!r}", file=summary_out)
     return 0
 
 

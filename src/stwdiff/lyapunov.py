@@ -28,7 +28,7 @@ W1, W2, W3 = "W1", "W2", "W3"
 _BLOCK_STATES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorState:
     """Error coordinates: x1 = y1 - f (signal units), x2 = y2 - fdot (signal/time)."""
 
@@ -70,7 +70,7 @@ class GammaReport:
     gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecreaseViolation:
     """Sampled state and disturbance at which the decrease check failed."""
 
@@ -202,25 +202,31 @@ def decay_rate_gamma(p: Params) -> GammaReport:
     )
 
 
-def _wdot_branch(branch, z1, z2, eta, fddot, p: Params):
-    """Directional derivative of one branch of W along the error dynamics.
+def _wdot_branches(z1, z2, eta, fddots, p: Params):
+    """Directional derivatives of the three branches of W along the error dynamics.
 
-    Operates in the mirrored frame; `eta` and `fddot` must already be
-    mirrored disturbances.  `branch` is 0, 1, 2 for W1, W2, W3.
+    Operates in the mirrored frame; `eta` and each of `fddots` must already
+    be mirrored disturbances.  Yields one (W1, W2, W3) triple per fddot;
+    the terms that do not depend on fddot are computed once.
     """
     lam2p1L = (p.lambda2 + 1.0) * p.L
     arg = z1 - eta
-    dz1 = -p.lambda1 * math.sqrt(p.L) * np.sign(arg) * np.sqrt(np.abs(arg)) + z2
-    dz2 = -p.lambda2 * p.L * np.sign(arg) - fddot
-    if branch == 0:
-        return z2 * dz2 / (p.alpha * lam2p1L) - dz1
-    if branch == 1:
-        return z2 * dz2 / (2.0 * p.alpha * lam2p1L)
-    return dz1 - z2 * dz2 / lam2p1L
+    sign = np.sign(arg)
+    dz1 = -p.lambda1 * math.sqrt(p.L) * sign * np.sqrt(np.abs(arg)) + z2
+    for fddot in fddots:
+        q = z2 * (-p.lambda2 * p.L * sign - fddot)
+        yield q / (p.alpha * lam2p1L) - dz1, q / (2.0 * p.alpha * lam2p1L), dz1 - q / lam2p1L
 
 
-def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v, base_index):
-    """Check one block of grid states; returns violation tuples keyed by grid index."""
+def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
+    """Check one block of grid states; returns its violations in block order.
+
+    Each eta slot and fddot is evaluated over the whole active block: every
+    branch derivative is computed for all states and folded into the
+    observed rate, in branch order, where that branch applies.  The failing
+    samples are then gathered, ordered by (state, eta slot, fddot) and
+    turned into records in one pass.
+    """
     N, L = n.N, p.L
     z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
     idx = np.nonzero(v > N + margin)[0]
@@ -229,14 +235,16 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v, base_index):
 
     z1, z2, t1, t2, v = z1[idx], z2[idx], t1[idx], t2[idx], v[idx]
     x1v, x2v = x1v[idx], x2v[idx]
-    gi = base_index + idx
-    branch = np.where(z1 <= t1, 0, np.where(z1 <= t2, 1, 2))
     eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
     near_t1 = np.abs(z1 - t1) <= eps_cell
     near_t2 = np.abs(z1 - t2) <= eps_cell
+    # States within eps_cell of a threshold are checked on both adjacent branches.
+    le1, le2 = z1 <= t1, z1 <= t2
+    checks = (le1 | near_t1, (~le1 & le2) | near_t1 | near_t2, ~(le1 | le2) | near_t2)
 
     required = -gamma * np.sqrt(v - N)
-    delta = 1e-12 * np.maximum.reduce([np.full_like(z1, 1.0), np.abs(z1), np.full_like(z1, N)])
+    limit = required + tolerance
+    delta = 1e-12 * np.maximum(np.abs(z1), max(1.0, N))
     clamped = np.clip(z1, -N, N)
     eta_slots = [
         np.full_like(z1, -N),
@@ -253,36 +261,29 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v, base_index):
             e[hit & down_ok] = (e - delta)[hit & down_ok]
             e[hit & ~down_ok] = (e + delta)[hit & ~down_ok]
 
-    out = []
+    hits = []  # (state, slot, fddot index, eta, observed) of failing samples
+    observed = np.empty_like(z1)
     for slot, e in enumerate(eta_slots):
-        for g in (-L, L):
-            gv = np.full_like(z1, g)
-            observed = np.full_like(z1, -np.inf)
-            for b in (0, 1, 2):
-                check = (branch == b) | (near_t1 & (b <= 1)) | (near_t2 & (b >= 1))
-                if not np.any(check):
-                    continue
-                wd = _wdot_branch(b, z1[check], z2[check], e[check], gv[check], p)
-                observed[check] = np.maximum(observed[check], wd)
-            bad = observed > required + tolerance
-            for j in np.nonzero(bad)[0]:
-                # Report in the original (unmirrored) coordinates.
-                mir = x2v[j] < 0
-                out.append(
-                    (
-                        int(gi[j]),
-                        slot,
-                        g,
-                        DecreaseViolation(
-                            state=ErrorState(float(x1v[j]), float(x2v[j])),
-                            eta=float(-e[j]) if mir else float(e[j]),
-                            fddot=float(-g) if mir else float(g),
-                            observed_rate=float(observed[j]),
-                            required_rate=float(required[j]),
-                        ),
-                    )
-                )
-    return out
+        for k, rates in enumerate(_wdot_branches(z1, z2, e, (-L, L), p)):
+            observed.fill(-np.inf)
+            for wd, check in zip(rates, checks):
+                np.maximum(observed, wd, out=observed, where=check)
+            j = np.flatnonzero(observed > limit)
+            if j.size:
+                hits.append((j, np.full(j.size, slot), np.full(j.size, k), e[j], observed[j]))
+    if not hits:
+        return []
+
+    j, slot, k, e, observed = (np.concatenate(col) for col in zip(*hits))
+    order = np.lexsort((k, slot, j))
+    j, e, g = j[order], e[order], np.array((-L, L))[k[order]]
+    # Report in the original (unmirrored) coordinates.
+    mir = x2v[j] < 0
+    cols = (x1v[j], x2v[j], np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
+    return [
+        DecreaseViolation(ErrorState(a, b), eta, fddot, obs, req)
+        for a, b, eta, fddot, obs, req in zip(*(c.tolist() for c in cols))
+    ]
 
 
 def verify_decrease(
@@ -305,8 +306,10 @@ def verify_decrease(
     :func:`decay_rate_gamma`, which requires the gain condition to hold;
     passing `gamma` explicitly skips that requirement (mutation probes).
     Raises ValueError when `gamma`, `margin` or `tolerance` is not finite.
-    The grid is checked in blocks of whole rows (about 2**16 states), so
-    peak memory does not grow with the grid; the list is ordered by grid index.
+    The grid is checked in blocks of whole rows (about 2**16 states), walked
+    in increasing grid index, so peak memory does not grow with the grid.
+    Each block orders and builds its own records, so the list is ordered by
+    grid index, then eta sample, then fddot (-L before L), with no global sort.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
@@ -314,15 +317,11 @@ def verify_decrease(
         raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
     x1s, x2s = grid.axes()
     rows = max(1, _BLOCK_STATES // grid.n2)
-
-    def block(r0):
+    out = []
+    for r0 in range(0, grid.n1, rows):
         x1v = np.repeat(x1s[r0 : r0 + rows], grid.n2)
-        x2v = np.tile(x2s, x1v.size // grid.n2)
-        return _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v, r0 * grid.n2)
-
-    records = [rec for r0 in range(0, grid.n1, rows) for rec in block(r0)]
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [rec[3] for rec in records]
+        out += _verify_chunk(p, n, gamma, margin, tolerance, x1v, np.tile(x2s, x1v.size // grid.n2))
+    return out
 
 
 def write_violations_csv(fileobj, violations: list[DecreaseViolation]) -> None:

@@ -245,9 +245,12 @@ def _parse_kv(body: str, what: str) -> dict[str, float]:
             raise ValueError(f"bad {what} option {item!r}: expected key=value")
         key, val = item.split("=", 1)
         try:
-            out[key.strip()] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise ValueError(f"bad {what} value {item!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"bad {what} value {item!r}: must be finite")
+        out[key.strip()] = value
     return out
 
 

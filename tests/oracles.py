@@ -12,7 +12,7 @@ import math
 from decimal import Decimal, localcontext
 
 from stwdiff import ErrorState, Params, evaluate, region
-from stwdiff.lyapunov import _wdot_branch
+from stwdiff.lyapunov import _wdot_branches
 
 PREC = 50
 
@@ -138,8 +138,8 @@ def vdot_analytic(x: ErrorState, p: Params, eta: float, fddot: float) -> float:
         z1, z2, e, g = -x.x1, -x.x2, -eta, -fddot
     else:
         z1, z2, e, g = x.x1, x.x2, eta, fddot
-    branch = {"W1": 0, "W2": 1, "W3": 2}[reg.index]
-    return float(_wdot_branch(branch, z1, z2, e, g, p))
+    (rates,) = _wdot_branches(z1, z2, e, (g,), p)
+    return float(rates[{"W1": 0, "W2": 1, "W3": 2}[reg.index]])
 
 
 def vdot_one_sided(x: ErrorState, p: Params, eta: float, fddot: float, h: float = 1e-8) -> float:

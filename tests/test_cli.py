@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stwdiff
 from stwdiff.cli import main
 
 
@@ -125,6 +130,16 @@ class TestSimulate:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "flag, spec", [("--noise", "switching:N=inf"), ("--noise", "switching:c1=nan"), ("--signal", "quadratic:L=inf")]
+    )
+    def test_non_finite_spec_values_exit_two(self, capsys, flag, spec):
+        code, out, err = run_cli(capsys, ["simulate", "--dt", "0.01", flag, spec])
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
+
 class TestVerifyLyapunov:
     def test_valid_gains_exit_zero(self, capsys):
         code, out, err = run_cli(
@@ -205,6 +220,27 @@ class TestWorstCase:
         assert float(kv["max_tracking_deviation"]) < 1e-2
         assert float(kv["theta"]) == pytest.approx(0.13801311186847084, rel=1e-12)
 
+    def test_default_summary_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, ["worst-case"])
+        assert code == 0
+        assert out == (
+            "theta=0.13801311186847084\n"
+            "achieved_error=0.2895525349237552\n"
+            "predicted_error=0.28982753492378877\n"
+            "ratio=0.9990511598557885\n"
+            "max_tracking_deviation=0.00027500000003360947\n"
+        )
+
+    def test_divergence_pair_below_lambda2_one(self, capsys):
+        # lambda2 < 1 runs the divergence pair, which has no sliding
+        # reference, so the tracking line is left out.
+        code, out, err = run_cli(capsys, ["worst-case", "--lambda2", "0.5"])
+        assert code == 0
+        assert err == ""
+        kv = parse_kv(out)
+        assert list(kv) == ["theta", "achieved_error", "predicted_error", "ratio"]
+        assert float(kv["achieved_error"]) > float(kv["predicted_error"])
+
 
 class TestHelpAndErrors:
     @pytest.mark.parametrize(
@@ -226,3 +262,13 @@ class TestHelpAndErrors:
         code, _, err = run_cli(capsys, ["simulate", "--noise", "pink:level=3", "--horizon", "0.01", "--tau", "0"])
         assert code == 2
         assert "error" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(stwdiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-m", "stwdiff", "validate"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert "condition: satisfied" in res.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -20,12 +21,24 @@ from stwdiff import (
     validate_condition,
     verify_decrease,
 )
-from stwdiff.lyapunov import _thresholds_grid, write_violations_csv
+from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, write_violations_csv
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 # Parameter set of the contour figure: alpha (lambda2 + 1) L = 4.
 P_CONTOUR = Params(4.1, 1.1, 1.0, 4.0 / 2.1)
 N_UNIT = NoiseLevel(1.0)
+
+
+def thresholds(z2, p):
+    """Region thresholds (t1, t2) at z2, written as the certifier computes them."""
+    t1 = z2 * z2 / (4.0 * p.alpha * ((p.lambda2 + 1.0) * p.L))
+    return t1, (2.0 * p.alpha + 1.0) * t1
+
+
+def violations_digest(violations):
+    buf = io.StringIO()
+    write_violations_csv(buf, violations)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 def branch_values(z1, z2, p):
@@ -291,23 +304,72 @@ class TestVerifyDecrease:
 
     # sha256 of the violations CSV written by the original whole-grid
     # certifier: a grid whose row count is not a multiple of a block, a
-    # one-row grid, and rows longer than a whole block.
+    # one-row grid, and rows longer than a whole block.  The 400x400 case
+    # is the benchmark's mutant probe (digest taken from the per-violation
+    # loop that preceded the whole-array block pass).
     @pytest.mark.parametrize(
         "box, n1, n2, count, digest",
         [
             ((-1.5, 1.5, -1.5, 1.5), 401, 397, 51546, "2c878664d27df985b70e40b4dc34068e9c3bbd02a282a30275ca51372b001a81"),
             ((0.3, 1.5, -1.5, 1.5), 1, 900, 728, "09a085af49e33f757880e97091945c015d620ebba7387321aec0f49739418c2f"),
             ((-1.5, 1.5, -1.5, 1.5), 3, 70000, 4712, "7ff3daffc81e01add4f04d85f4021bf9a5271c1c53a504cff66fa5cabb96ac58"),
+            ((-3.0, 3.0, -3.0, 3.0), 400, 400, 105312, "6420ff6a07dfc7adfea1ce6ace76605e3da052c65e9e96f55bc2be5d15631433"),
         ],
     )
     def test_mutant_violations_match_golden_csv(self, box, n1, n2, count, digest):
         gamma = decay_rate_gamma(P_REF).gamma
         bad = Params(4.1, 0.5, 1.0, 4.0)
         violations = verify_decrease(bad, NoiseLevel(0.01), GridSpec(*box, n1, n2), gamma=gamma)
-        buf = io.StringIO()
-        write_violations_csv(buf, violations)
         assert len(violations) == count
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        assert violations_digest(violations) == digest
+
+    # One-state grids checked with a gamma so large that all eight (eta,
+    # fddot) samples fail, so every sample is written out: states exactly on
+    # t1 and t2 (both adjacent branch derivatives), at x1 = +N and x1 = -N
+    # (eta nudged off the sign discontinuity, down and up), strictly inside
+    # the noise band, and mirrored (x2 < 0).  Digests taken from the
+    # per-violation loop that preceded the whole-array block pass.
+    @pytest.mark.parametrize(
+        "x1, x2, digest",
+        [
+            (thresholds(1.0, P_REF)[0], 1.0, "f3c7c9db795babecc0c4c553433710dba37a10d652f60b37c4bd6a225a6a3da9"),
+            (thresholds(1.0, P_REF)[1], 1.0, "d22601074ccabae9d3db1016ddaad544669e2bb5961e6c4f88986c072dac450b"),
+            (0.01, 1.0, "8077e2ea93a6b397e681daea43b6b130187a1dd9c1a4e0c0e3bbceb296169824"),
+            (-0.01, 1.0, "2c3fc02ad02413d702e7bd67269176b7362568814e003df06997d5b0844a681f"),
+            (0.004, 1.0, "ef40fbf8bbd6773f362e7e5b16faec36cced7bcd83131c7ec2d68278bdd8e48e"),
+            (-thresholds(1.5, P_REF)[0], -1.5, "11cc6a9744a7f57b9d8e9a672d6254d2cc230ed829604e23a50d5d9cc27e4a62"),
+            (0.004, -1.0, "c41bba4f6ff22ea0a0cc46eda7c74273e8b7dadb06d20d34b45f2601b16efe7f"),
+            (-0.5, -0.2, "b95842c60fbb52712daae45293cf25a902efbbaf53a5a114a1135628345c1958"),
+        ],
+    )
+    def test_single_state_probes_match_golden_csv(self, x1, x2, digest):
+        grid = GridSpec(x1, x1 + 1.0, x2, x2 + 1.0, 1, 1)
+        violations = verify_decrease(P_REF, NoiseLevel(0.01), grid, gamma=1e4)
+        assert [(v.state.x1, v.state.x2) for v in violations] == [(x1, x2)] * 8
+        assert violations_digest(violations) == digest
+
+    def test_record_types(self):
+        gamma = decay_rate_gamma(P_REF).gamma
+        grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20)
+        violations = verify_decrease(Params(4.1, 0.5, 1.0, 4.0), NoiseLevel(0.01), grid, gamma=gamma)
+        assert type(violations) is list and violations
+        assert type(verify_decrease(P_REF, NoiseLevel(0.01), grid)) is list
+        v = violations[0]
+        assert type(v) is DecreaseViolation and type(v.state) is ErrorState
+        # Slotted: one record per failing sample, with no per-instance dict.
+        assert not hasattr(v, "__dict__") and not hasattr(v.state, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.state.x1 = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.eta = 0.0
+        twin = DecreaseViolation(
+            ErrorState(v.state.x1, v.state.x2), v.eta, v.fddot, v.observed_rate, v.required_rate
+        )
+        assert twin == v and hash(twin) == hash(v)
+        assert ErrorState(1.0, 2.0) == ErrorState(1.0, 2.0)
+        assert hash(ErrorState(1.0, 2.0)) == hash(ErrorState(1.0, 2.0))
+        assert ErrorState(1.0, 2.0) != ErrorState(2.0, 1.0)
+        assert dataclasses.replace(v, eta=-v.eta) != v
 
     def test_violations_csv_format(self):
         gamma = decay_rate_gamma(P_REF).gamma

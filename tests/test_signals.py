@@ -193,6 +193,21 @@ class TestParsePair:
         with pytest.raises(ValueError):
             parse_pair("quadratic:L", "none", 1.0, 0.01)
 
+    @pytest.mark.parametrize(
+        "signal, noise",
+        [
+            ("quadratic:L=inf", "none"),
+            ("quadratic:L=nan", "none"),
+            ("quadratic", "switching:N=inf"),
+            ("quadratic", "switching:c1=nan"),
+            ("quadratic", "constant:N=-inf"),
+            ("worstcase:tau=inf", "none"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, signal, noise):
+        with pytest.raises(ValueError, match="finite"):
+            parse_pair(signal, noise, 1.0, 0.01)
+
 
 def scalar_columns(pair, ts):
     """(f, fdot, eta) from the pair's scalar evaluators, one time at a time."""
