@@ -52,62 +52,9 @@ from .signals import (
     WorstCaseSpec,
     check_membership,
     parse_pair,
-    quadratic_signal,
     sliding_reference,
     switching_noise,
     worst_case_pair,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DiffState",
-    "StepScheme",
-    "init",
-    "rhs",
-    "solve_sigma",
-    "step_explicit",
-    "step_implicit",
-    "ErrorSummary",
-    "InvarianceReport",
-    "SimConfig",
-    "TrajectoryRecord",
-    "contour_grid",
-    "error_summary",
-    "omega_invariance_check",
-    "read_trajectory_csv",
-    "simulate",
-    "simulate_error_system",
-    "write_contour_csv",
-    "write_trajectory_csv",
-    "DecreaseViolation",
-    "ErrorState",
-    "GammaReport",
-    "GridSpec",
-    "Region",
-    "decay_rate_gamma",
-    "evaluate",
-    "evaluate_grid",
-    "omega_contains",
-    "region",
-    "sup_x2_on_omega",
-    "verify_decrease",
-    "GainInterval",
-    "NoiseLevel",
-    "Params",
-    "convergence_time_bound",
-    "error_lower_bound",
-    "error_upper_bound",
-    "lambda1_range",
-    "lambda2_min",
-    "tightness_factor",
-    "validate_condition",
-    "SignalPair",
-    "WorstCaseSpec",
-    "check_membership",
-    "parse_pair",
-    "quadratic_signal",
-    "sliding_reference",
-    "switching_noise",
-    "worst_case_pair",
-]

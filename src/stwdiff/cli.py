@@ -36,13 +36,11 @@ DEFAULTS = {
 }
 
 
-def _add_gain_flags(sp, *, lambda1=True, alpha=True):
-    if lambda1:
-        sp.add_argument("--lambda1", type=float, default=DEFAULTS["lambda1"], help="gain of the square-root term")
+def _add_gain_flags(sp):
+    sp.add_argument("--lambda1", type=float, default=DEFAULTS["lambda1"], help="gain of the square-root term")
     sp.add_argument("--lambda2", type=float, default=DEFAULTS["lambda2"], help="gain of the discontinuous term")
     sp.add_argument("--L", type=float, default=DEFAULTS["L"], help="bound on |f''|")
-    if alpha:
-        sp.add_argument("--alpha", type=float, default=DEFAULTS["alpha"], help="bound-tightness parameter in (1, 4]")
+    sp.add_argument("--alpha", type=float, default=DEFAULTS["alpha"], help="bound-tightness parameter in (1, 4]")
 
 
 def _parse_box(text: str) -> tuple[float, float, float, float]:
@@ -82,6 +80,10 @@ def _make_params(args) -> params.Params:
     return params.Params(lambda1=args.lambda1, lambda2=args.lambda2, L=args.L, alpha=args.alpha)
 
 
+def _make_config(args, p: params.Params, horizon: float) -> harness.SimConfig:
+    return harness.SimConfig(StepScheme(args.scheme, args.dt), horizon, p, params.NoiseLevel(args.N))
+
+
 def cmd_validate(args) -> int:
     p = _make_params(args)
     ok = params.validate_condition(p)
@@ -97,7 +99,7 @@ def cmd_validate(args) -> int:
 
 def cmd_bounds(args) -> int:
     n = params.NoiseLevel(args.N)
-    p = params.Params(lambda1=args.lambda1, lambda2=args.lambda2, L=args.L, alpha=args.alpha)
+    p = _make_params(args)
     print(f"upper_bound={params.error_upper_bound(p, n)!r}")
     print(f"lower_bound={params.error_lower_bound(args.lambda2, n, args.L)!r}")
     print(f"tightness_factor={params.tightness_factor(p)!r}")
@@ -131,12 +133,7 @@ def _build_pair(args) -> signals.SignalPair:
 def cmd_simulate(args) -> int:
     p = _make_params(args)
     pair = _build_pair(args)
-    cfg = harness.SimConfig(
-        scheme=StepScheme(kind=args.scheme, dt=args.dt),
-        horizon=args.horizon,
-        params=p,
-        noise_level=params.NoiseLevel(args.N),
-    )
+    cfg = _make_config(args, p, args.horizon)
     rec = harness.simulate(cfg, pair)
     summary_out = sys.stdout if args.out else sys.stderr
     with _open_out(args.out) as fh:
@@ -195,12 +192,7 @@ def cmd_worst_case(args) -> int:
     p = _make_params(args)
     spec = signals.WorstCaseSpec(tau=args.tau, lambda2=args.lambda2, N=args.N, L=args.L)
     pair = signals.worst_case_pair(spec)
-    cfg = harness.SimConfig(
-        scheme=StepScheme(kind=args.scheme, dt=args.dt),
-        horizon=args.tau,
-        params=p,
-        noise_level=params.NoiseLevel(args.N),
-    )
+    cfg = _make_config(args, p, args.tau)
     rec = harness.simulate(cfg, pair)
     achieved = abs(float(rec.error[-1]))
     predicted = params.error_lower_bound(args.lambda2, params.NoiseLevel(args.N), args.L)

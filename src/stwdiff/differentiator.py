@@ -10,7 +10,7 @@ resolves the set-valued sign through a scalar generalized equation
 
     sigma + a * |sigma|^(1/2) sign(sigma) + b * xi = r,   xi in sign set of sigma,
 
-with r = u - y1 - dt*y2, a = dt*lambda1*sqrt(L), b = dt^2*lambda2*L.  The
+with r = u - y1 - dt*y2, a = dt (lambda1 sqrt(L)), b = dt^2 (lambda2 L).  The
 solution is closed form: a deadzone (sigma = 0, xi = r/b) for |r| <= b,
 otherwise a quadratic in sqrt|sigma|.  No iteration, no chattering at the
 equilibrium.
@@ -63,6 +63,11 @@ def spow_half(y: float) -> float:
     return math.copysign(math.sqrt(abs(y)), y)
 
 
+def injection_gains(p: Params) -> tuple[float, float]:
+    """Gains (lambda1 sqrt(L), lambda2 L) of the square-root and discontinuous terms."""
+    return p.lambda1 * math.sqrt(p.L), p.lambda2 * p.L
+
+
 def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[float, float]:
     """Continuous-time right-hand side (dy1, dy2).
 
@@ -78,7 +83,8 @@ def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[floa
     else:
         sgn = selection
         half = 0.0
-    return (p.lambda1 * math.sqrt(p.L) * half + s.y2, p.lambda2 * p.L * sgn)
+    k1, k2 = injection_gains(p)
+    return (k1 * half + s.y2, k2 * sgn)
 
 
 def step_explicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> DiffState:
@@ -111,12 +117,7 @@ def step_implicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> Diff
     if scheme.kind != IMPLICIT:
         raise ValueError(f"step_implicit requires an implicit scheme, got {scheme.kind!r}")
     dt = scheme.dt
-    a = dt * p.lambda1 * math.sqrt(p.L)
-    b = dt * dt * p.lambda2 * p.L
+    k1, k2 = injection_gains(p)
     r = u - s.y1 - dt * s.y2
-    sigma, xi = solve_sigma(r, a, b)
-    if sigma == 0.0:
-        y2n = s.y2 + r / dt
-    else:
-        y2n = s.y2 + dt * p.lambda2 * p.L * xi
-    return DiffState(u - sigma, y2n)
+    sigma, xi = solve_sigma(r, dt * k1, dt * dt * k2)
+    return DiffState(u - sigma, s.y2 + (r / dt if sigma == 0.0 else dt * k2 * xi))

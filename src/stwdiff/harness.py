@@ -14,16 +14,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import differentiator as stw
 from .lyapunov import ErrorState, evaluate_grid
 from .params import NoiseLevel, Params, error_lower_bound, error_upper_bound
-from .signals import SignalPair
-
-TimeFn = Callable[[float], float]
+from .signals import SignalPair, TimeFn
 
 TRAJECTORY_COLUMNS = ("t", "u", "f", "fdot", "y1", "y2", "error", "V")
 
@@ -38,14 +36,14 @@ class SimConfig:
     noise_level: NoiseLevel
 
     def __post_init__(self):
-        if not self.horizon >= self.scheme.dt:
-            raise ValueError(
-                f"horizon {self.horizon} shorter than one step {self.scheme.dt}"
-            )
+        dt = self.scheme.dt
+        n = self.horizon / dt
+        if not (math.isfinite(n) and round(n) >= 1 and math.isclose(round(n) * dt, self.horizon, rel_tol=1e-9)):
+            raise ValueError(f"horizon must be a whole number of steps of {dt}, at least one, got {self.horizon}")
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.horizon / self.scheme.dt)))
+        return round(self.horizon / self.scheme.dt)
 
 
 @dataclass
@@ -61,9 +59,6 @@ class TrajectoryRecord:
     error: np.ndarray
     V: np.ndarray
     dt: float
-
-    def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
 
 @dataclass
@@ -98,32 +93,15 @@ def _finalize(ts, us, fs, fds, y1s, y2s, p: Params, dt: float) -> TrajectoryReco
     return TrajectoryRecord(t=ts, u=us, f=fs, fdot=fds, y1=y1s, y2=y2s, error=error, V=V, dt=dt)
 
 
-def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
-    """Run the differentiator on u = f + eta from the standard initialization.
-
-    The inputs come from `pair.sample` over the whole time grid when the pair
-    has it, and from its scalar evaluators one sample at a time otherwise.
-    """
+def _integrate(cfg: SimConfig, us: np.ndarray, y1: float, y2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Differentiator states (y1s, y2s) on the inputs `us`, starting from (y1, y2)."""
     dt = cfg.scheme.dt
-    n = cfg.steps
-    ts = np.arange(n + 1) * dt
-
-    if pair.sample is not None:
-        fs, fds, etas = pair.sample(ts)
-        us = fs + etas
-    else:
-        f, eta, fdot = pair.f, pair.eta, pair.fdot
-        fs = np.fromiter((f(t) for t in ts), dtype=float, count=n + 1)
-        us = np.fromiter((fs[k] + eta(ts[k]) for k in range(n + 1)), dtype=float, count=n + 1)
-        fds = np.fromiter((fdot(t) for t in ts), dtype=float, count=n + 1)
-
+    n = len(us) - 1
     y1s = np.empty(n + 1)
     y2s = np.empty(n + 1)
-    y1, y2 = us[0], 0.0
     y1s[0], y2s[0] = y1, y2
 
-    lam1sL = cfg.params.lambda1 * math.sqrt(cfg.params.L)
-    lam2L = cfg.params.lambda2 * cfg.params.L
+    lam1sL, lam2L = stw.injection_gains(cfg.params)
     if cfg.scheme.kind == stw.IMPLICIT:
         a = dt * lam1sL
         b = dt * dt * lam2L
@@ -143,7 +121,29 @@ def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
             y1 = y1 + dt * dy1
             y2 = y2 + dt * lam2L * sgn
             y1s[k + 1], y2s[k + 1] = y1, y2
+    return y1s, y2s
 
+
+def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
+    """Run the differentiator on u = f + eta from the standard initialization.
+
+    The inputs come from `pair.sample` over the whole time grid when the pair
+    has it, and from its scalar evaluators one sample at a time otherwise.
+    """
+    dt = cfg.scheme.dt
+    n = cfg.steps
+    ts = np.arange(n + 1) * dt
+
+    if pair.sample is not None:
+        fs, fds, etas = pair.sample(ts)
+        us = fs + etas
+    else:
+        f, eta, fdot = pair.f, pair.eta, pair.fdot
+        fs = np.fromiter((f(t) for t in ts), dtype=float, count=n + 1)
+        us = np.fromiter((fs[k] + eta(ts[k]) for k in range(n + 1)), dtype=float, count=n + 1)
+        fds = np.fromiter((fdot(t) for t in ts), dtype=float, count=n + 1)
+
+    y1s, y2s = _integrate(cfg, us, us[0], 0.0)
     return _finalize(ts, us, fs, fds, y1s, y2s, cfg.params, dt)
 
 
@@ -153,8 +153,11 @@ def simulate_error_system(
     fddot: TimeFn,
     x0: Optional[ErrorState] = None,
 ) -> TrajectoryRecord:
-    """Integrate the error dynamics directly under disturbance evaluators.
+    """Integrate the error dynamics x = (y1 - f, y2 - fdot) under disturbance evaluators.
 
+    The differentiator runs on u = f + eta, where (f, fdot) is the discrete
+    reference from (0, 0) whose second difference is fddot, sampled as the
+    scheme samples u; x carries the rounding of y at the magnitude of f.
     Default initial state is (eta(0), 0), matching the differentiator's own
     initialization when fdot(0) = 0; pass `x0` for Lyapunov studies.  The
     record reuses the trajectory layout with f = fdot = 0, u = eta, and
@@ -166,42 +169,15 @@ def simulate_error_system(
 
     ets = np.fromiter((eta(t) for t in ts), dtype=float, count=n + 1)
     gts = np.fromiter((fddot(t) for t in ts), dtype=float, count=n + 1)
+    # Step k reads sample k + 1 (implicit) or sample k (explicit).
+    read = slice(1, None) if cfg.scheme.kind == stw.IMPLICIT else slice(None, -1)
+    fds = np.concatenate(([0.0], np.cumsum(dt * gts[read])))
+    fs = np.concatenate(([0.0], np.cumsum(dt * fds[read])))
 
-    x1s = np.empty(n + 1)
-    x2s = np.empty(n + 1)
-    if x0 is None:
-        x1, x2 = ets[0], 0.0
-    else:
-        x1, x2 = x0.x1, x0.x2
-    x1s[0], x2s[0] = x1, x2
-
-    lam1sL = cfg.params.lambda1 * math.sqrt(cfg.params.L)
-    lam2L = cfg.params.lambda2 * cfg.params.L
-    if cfg.scheme.kind == stw.IMPLICIT:
-        a = dt * lam1sL
-        b = dt * dt * lam2L
-        solve = stw.solve_sigma
-        for k in range(n):
-            e = ets[k + 1]
-            g = gts[k + 1]
-            r = x1 - e + dt * x2 - dt * dt * g
-            sigma, xi = solve(r, a, b)
-            if sigma == 0.0:
-                x2 = x2 - r / dt - dt * g
-            else:
-                x2 = x2 - dt * lam2L * xi - dt * g
-            x1 = e + sigma
-            x1s[k + 1], x2s[k + 1] = x1, x2
-    else:
-        for k in range(n):
-            d = x1 - ets[k]
-            sgn = 1.0 if d > 0.0 else (-1.0 if d < 0.0 else 0.0)
-            x1 = x1 + dt * (-lam1sL * sgn * math.sqrt(abs(d)) + x2)
-            x2 = x2 + dt * (-lam2L * sgn - gts[k])
-            x1s[k + 1], x2s[k + 1] = x1, x2
-
+    x1, x2 = (ets[0], 0.0) if x0 is None else (x0.x1, x0.x2)
+    y1s, y2s = _integrate(cfg, fs + ets, x1, x2)
     zeros = np.zeros(n + 1)
-    return _finalize(ts, ets, zeros, zeros, x1s, x2s, cfg.params, dt)
+    return _finalize(ts, ets, zeros, zeros, y1s - fs, y2s - fds, cfg.params, dt)
 
 
 def error_summary(
@@ -305,7 +281,7 @@ def _write_rows(fileobj, header: str, cols) -> None:
 
 def write_trajectory_csv(fileobj, rec: TrajectoryRecord) -> None:
     """Emit the record with 17 significant digits (bit-exact round trip)."""
-    _write_rows(fileobj, ",".join(TRAJECTORY_COLUMNS), [rec.column(name) for name in TRAJECTORY_COLUMNS])
+    _write_rows(fileobj, ",".join(TRAJECTORY_COLUMNS), [getattr(rec, name) for name in TRAJECTORY_COLUMNS])
 
 
 def read_trajectory_csv(fileobj) -> TrajectoryRecord:

@@ -92,13 +92,6 @@ def _switching_noise_grid(ts: np.ndarray, N: float, c1: float, c2: float) -> np.
     return eta
 
 
-def quadratic_signal(t: float, L: float, sign: float) -> tuple[float, float, float]:
-    """Signal sign * L t^2 / 2 with its derivatives; |fddot| = L exactly."""
-    if sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return (sign * L * t * t / 2.0, sign * L * t, sign * L)
-
-
 @dataclass(frozen=True)
 class WorstCaseSpec:
     """Constants of the worst-case ramp construction.

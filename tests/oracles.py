@@ -5,13 +5,18 @@ the exact binary values of the float inputs, so the package results can be
 compared at the ulp level.  The implicit-step oracle solves the scalar
 generalized equation by bisection instead of the closed form.  The V-dot
 pair cross-checks the certifier's per-branch derivative against a finite
-difference of V.
+difference of V.  The error-system recurrences step the paper's error
+dynamics directly in x = (y1 - f, y2 - fdot), as a reference for the
+harness, which runs them through the differentiator loop instead.
 """
 
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
+
 from stwdiff import ErrorState, Params, evaluate, region
+from stwdiff import differentiator as stw
 from stwdiff.lyapunov import _wdot_branches
 
 PREC = 50
@@ -154,3 +159,53 @@ def vdot_one_sided(x: ErrorState, p: Params, eta: float, fddot: float, h: float 
     dx2 = -p.lambda2 * p.L * s - fddot
     ahead = ErrorState(x.x1 + h * dx1, x.x2 + h * dx2)
     return (evaluate(ahead, p) - evaluate(x, p)) / h
+
+
+def error_system_states(cfg, eta, fddot, x0=None):
+    """Error coordinates (x1s, x2s) of cfg's scheme under the disturbances eta and fddot.
+
+    Steps dx1 = -lambda1 sqrt(L) |x1 - eta|^(1/2) sign(x1 - eta) + x2,
+    dx2 = -lambda2 L sign(x1 - eta) - fddot with forward Euler (sign(0) = 0)
+    or backward Euler (the implicit step's generalized equation in x), from
+    x0 or, by default, (eta(0), 0).
+    """
+    dt = cfg.scheme.dt
+    n = cfg.steps
+    ts = np.arange(n + 1) * dt
+
+    ets = np.fromiter((eta(t) for t in ts), dtype=float, count=n + 1)
+    gts = np.fromiter((fddot(t) for t in ts), dtype=float, count=n + 1)
+
+    x1s = np.empty(n + 1)
+    x2s = np.empty(n + 1)
+    if x0 is None:
+        x1, x2 = ets[0], 0.0
+    else:
+        x1, x2 = x0.x1, x0.x2
+    x1s[0], x2s[0] = x1, x2
+
+    lam1sL = cfg.params.lambda1 * math.sqrt(cfg.params.L)
+    lam2L = cfg.params.lambda2 * cfg.params.L
+    if cfg.scheme.kind == stw.IMPLICIT:
+        a = dt * lam1sL
+        b = dt * dt * lam2L
+        solve = stw.solve_sigma
+        for k in range(n):
+            e = ets[k + 1]
+            g = gts[k + 1]
+            r = x1 - e + dt * x2 - dt * dt * g
+            sigma, xi = solve(r, a, b)
+            if sigma == 0.0:
+                x2 = x2 - r / dt - dt * g
+            else:
+                x2 = x2 - dt * lam2L * xi - dt * g
+            x1 = e + sigma
+            x1s[k + 1], x2s[k + 1] = x1, x2
+    else:
+        for k in range(n):
+            d = x1 - ets[k]
+            sgn = 1.0 if d > 0.0 else (-1.0 if d < 0.0 else 0.0)
+            x1 = x1 + dt * (-lam1sL * sgn * math.sqrt(abs(d)) + x2)
+            x2 = x2 + dt * (-lam2L * sgn - gts[k])
+            x1s[k + 1], x2s[k + 1] = x1, x2
+    return x1s, x2s

@@ -258,6 +258,17 @@ class TestHelpAndErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--horizon", "inf"], ["simulate", "--horizon", "1", "--dt", "0.3"], ["worst-case", "--tau", "inf"]],
+        ids=["simulate-inf", "simulate-partial-step", "worst-case-inf"],
+    )
+    def test_horizon_off_the_step_grid_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "horizon" in err
+        assert out == ""
+
     def test_invalid_flag_value_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--noise", "pink:level=3", "--horizon", "0.01", "--tau", "0"])
         assert code == 2

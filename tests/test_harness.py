@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from stwdiff import (
     ErrorState,
     NoiseLevel,
@@ -16,11 +17,15 @@ from stwdiff import (
     decay_rate_gamma,
     error_summary,
     error_upper_bound,
+    init,
+    lambda1_range,
     omega_invariance_check,
     parse_pair,
     read_trajectory_csv,
     simulate,
     simulate_error_system,
+    step_explicit,
+    step_implicit,
     write_contour_csv,
     write_trajectory_csv,
 )
@@ -40,6 +45,13 @@ def piecewise_constant(seed, bound, hold, horizon):
     vals = np.random.default_rng(seed).uniform(-bound, bound, size=int(horizon / hold) + 2)
     last = len(vals) - 1
     return lambda t: float(vals[min(int(t / hold), last)])
+
+
+def random_admissible_params(rng):
+    """Gains inside the admissible interval for alpha = 4, with L drawn away from 1."""
+    lam2 = float(rng.uniform(1.05, 3.0))
+    iv = lambda1_range(lam2, 4.0)
+    return Params(iv.lo + float(rng.uniform(0.1, 0.9)) * (iv.hi - iv.lo), lam2, float(rng.uniform(0.2, 5.0)), 4.0)
 
 
 def discrete_reference(kind, dt, n, g_fn, fdot0=0.0, f0=0.0):
@@ -108,12 +120,39 @@ class TestSimulate:
         assert rec.t.shape == (101,)
         assert np.allclose(np.diff(rec.t), 1e-3, rtol=0, atol=1e-15)
         for name in ("u", "f", "fdot", "y1", "y2", "error", "V"):
-            assert np.all(np.isfinite(rec.column(name)))
+            assert np.all(np.isfinite(getattr(rec, name)))
         assert np.array_equal(rec.error, rec.y2 - rec.fdot)
 
     def test_horizon_must_cover_one_step(self):
         with pytest.raises(ValueError):
             SimConfig(StepScheme("implicit", 1e-2), 1e-3, P_REF, N_REF)
+
+    def test_horizon_must_be_whole_number_of_steps(self):
+        for dt, horizon in [(0.3, 1.0), (0.4, 1.0), (1e-3, 0.0105), (1e-3, math.inf), (1e-3, math.nan), (1e-300, 1e300)]:
+            with pytest.raises(ValueError):
+                SimConfig(StepScheme("implicit", dt), horizon, P_REF, N_REF)
+        for dt, horizon, steps in [(0.1, 0.3, 3), (5e-5, 5.0, 100000), (1e-4, 3.0, 30000), (1e-3, 1e-3, 1)]:
+            assert SimConfig(StepScheme("explicit", dt), horizon, P_REF, N_REF).steps == steps
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    def test_matches_repeated_steps_bit_for_bit(self, kind):
+        # With L != 1 the injection gains round differently depending on the
+        # order of the products, so this pins the loop to the step API.
+        rng = np.random.default_rng(17)
+        step = step_implicit if kind == "implicit" else step_explicit
+        for dt in (1e-4, 5e-4, 2e-3):
+            scheme = StepScheme(kind, dt)
+            for _ in range(20):
+                p = random_admissible_params(rng)
+                pair = parse_pair(f"quadratic:sign={rng.choice([-1, 1])}", "switching", p.L, 0.01)
+                rec = simulate(SimConfig(scheme, 200 * dt, p, N_REF), pair)
+                states = [init(float(rec.u[0]))]
+                for k in range(200):
+                    u = rec.u[k + 1] if kind == "implicit" else rec.u[k]
+                    states.append(step(states[-1], float(u), scheme, p))
+                for name in ("y1", "y2"):
+                    stepped = np.array([getattr(s, name) for s in states])
+                    assert np.array_equal(getattr(rec, name).view(np.uint64), stepped.view(np.uint64)), (p, dt, name)
 
     @pytest.mark.parametrize("kind", ["implicit", "explicit"])
     @pytest.mark.parametrize(
@@ -133,7 +172,7 @@ class TestSimulate:
         rec = simulate(cfg, pair)
         ref = simulate(cfg, dataclasses.replace(pair, sample=None))
         for name in TRAJECTORY_COLUMNS:
-            assert np.array_equal(rec.column(name).view(np.uint64), ref.column(name).view(np.uint64)), name
+            assert np.array_equal(getattr(rec, name).view(np.uint64), getattr(ref, name).view(np.uint64)), name
 
 
 class TestErrorSystemEquivalence:
@@ -151,6 +190,38 @@ class TestErrorSystemEquivalence:
         rx = simulate_error_system(cfg, eta, g, ErrorState(eta(0.0), -fdot(0.0)))
         assert np.max(np.abs((ry.y1 - ry.f) - rx.y1)) <= 1e-9
         assert np.max(np.abs((ry.y2 - ry.fdot) - rx.y2)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    def test_matches_error_recurrence_oracle(self, kind):
+        # simulate_error_system runs the differentiator on a reference f of
+        # magnitude up to F = G T^2 / 2 and returns x = y - f, so x carries
+        # the rounding of y at that magnitude: divided by dt where the
+        # implicit deadzone sets y2 = (u - y1) / dt, and raised to
+        # sqrt(eps F) by the explicit square root next to the sliding set.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(23)
+        cases = [
+            (P_REF, 1e-5, 1.0, N_REF.N, P_REF.L, lambda t: N_REF.N, lambda t: P_REF.L, ErrorState(1.5, 1.0)),
+            (P_REF, 5e-4, 12.0, 0.0, P_REF.L, lambda t: 0.0, lambda t: -P_REF.L, ErrorState(0.0, -1.0)),
+            (P_REF, 1e-3, 0.5, N_REF.N, P_REF.L, lambda t: 0.01, lambda t: 0.0, None),
+        ]
+        for dt in (1e-4, 5e-4, 1e-3):
+            p = random_admissible_params(rng)
+            x0 = ErrorState(float(rng.uniform(-0.6, 0.6)), float(rng.uniform(-0.8, 0.8)))
+            eta = piecewise_constant(int(rng.integers(1000)), N_REF.N, 0.013, 3.0)
+            g = piecewise_constant(int(rng.integers(1000)), p.L, 0.017, 3.0)
+            cases.append((p, dt, 3.0, N_REF.N, p.L, eta, g, x0))
+        for p, dt, horizon, N, G, eta, g, x0 in cases:
+            cfg = SimConfig(StepScheme(kind, dt), horizon, p, NoiseLevel(N))
+            rec = simulate_error_system(cfg, eta, g, x0)
+            x1s, x2s = oracles.error_system_states(cfg, eta, g, x0)
+            F = max(1.0, G * horizon * horizon / 2.0)
+            tol = 2.0 * eps * F / dt + 2.0 * dt * p.lambda1 * math.sqrt(p.L) * math.sqrt(eps * F)
+            assert np.max(np.abs(rec.y1 - x1s)) <= tol, (p, dt, horizon)
+            assert np.max(np.abs(rec.y2 - x2s)) <= tol, (p, dt, horizon)
+            assert np.array_equal(rec.u, [eta(t) for t in rec.t])
+            assert not rec.f.any() and not rec.fdot.any()
+            assert np.array_equal(rec.error, rec.y2)
 
     def test_zero_disturbances_zero_state(self):
         cfg = SimConfig(StepScheme("implicit", 1e-3), 0.2, P_REF, NoiseLevel(0.0))
@@ -287,7 +358,7 @@ class TestCsv:
         buf.seek(0)
         back = read_trajectory_csv(buf)
         for name in ("t", "u", "f", "fdot", "y1", "y2", "error", "V"):
-            assert np.array_equal(rec.column(name), back.column(name)), name
+            assert np.array_equal(getattr(rec, name), getattr(back, name)), name
         assert back.dt == rec.dt
 
     def test_trajectory_header(self):
@@ -316,7 +387,7 @@ class TestCsv:
         buf.seek(0)
         back = read_trajectory_csv(buf)
         for name in TRAJECTORY_COLUMNS:
-            assert np.array_equal(rec.column(name).view(np.uint64), back.column(name).view(np.uint64)), name
+            assert np.array_equal(getattr(rec, name).view(np.uint64), getattr(back, name).view(np.uint64)), name
 
     def test_writer_matches_per_value_format_across_chunks(self):
         n = 2 * harness._CSV_CHUNK_ROWS + 3

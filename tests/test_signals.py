@@ -8,7 +8,6 @@ from stwdiff import (
     WorstCaseSpec,
     check_membership,
     parse_pair,
-    quadratic_signal,
     sliding_reference,
     switching_noise,
     worst_case_pair,
@@ -49,6 +48,12 @@ class TestSwitchingNoise:
             switching_noise(1.0, 0.01, 0.011, 0.0)
         with pytest.raises(ValueError):
             switching_noise(-1e-9, 0.01, 0.011, 0.00149)
+
+
+def quadratic_signal(t, L, sign):
+    """(f, fdot, fddot) at t of the `quadratic` signal built by parse_pair."""
+    pair = parse_pair(f"quadratic:L={L!r},sign={sign!r}", "none", 1.0, 0.0)
+    return pair.f(t), pair.fdot(t), pair.fddot(t)
 
 
 class TestQuadraticSignal:
