@@ -113,8 +113,8 @@ def cmd_tune(args) -> int:
     if not (lo > 1.0 and hi > lo and args.steps >= 2):
         print("tune: need 1 < lambda2-start < lambda2-stop and steps >= 2", file=sys.stderr)
         return 2
-    _stamp(args)
-    print("lambda2 time_bound error_bound lambda1_lo lambda1_hi")
+    # The table is built before printing, so a rejected input prints no rows.
+    rows = ["lambda2 time_bound error_bound lambda1_lo lambda1_hi"]
     for k in range(args.steps):
         lam2 = lo + (hi - lo) * k / (args.steps - 1)
         p = params.Params(lambda1=args.lambda1, lambda2=lam2, L=args.L, alpha=args.alpha)
@@ -122,7 +122,9 @@ def cmd_tune(args) -> int:
         eb = params.error_upper_bound(p, n)
         rng = params.lambda1_range(lam2, args.alpha)
         interval = "empty empty" if rng.empty else f"{rng.lo:.6g} {rng.hi:.6g}"
-        print(f"{lam2:.6g} {tb:.6g} {eb:.6g} {interval}")
+        rows.append(f"{lam2:.6g} {tb:.6g} {eb:.6g} {interval}")
+    _stamp(args)
+    print("\n".join(rows))
     return 0
 
 
@@ -190,21 +192,19 @@ def cmd_contour(args) -> int:
 
 def cmd_worst_case(args) -> int:
     p = _make_params(args)
+    cfg = _make_config(args, p, args.tau)
     spec = signals.WorstCaseSpec(tau=args.tau, lambda2=args.lambda2, N=args.N, L=args.L)
     pair = signals.worst_case_pair(spec)
-    cfg = _make_config(args, p, args.tau)
     rec = harness.simulate(cfg, pair)
     achieved = abs(float(rec.error[-1]))
     predicted = params.error_lower_bound(args.lambda2, params.NoiseLevel(args.N), args.L)
-    # The divergence pair used for lambda2 < 1 has no sliding reference to track.
+    # Deviation from the sliding reference (N - lambda2 f, -lambda2 fdot) up to
+    # tau; the divergence pair used for lambda2 < 1 has no such reference.
     track = None
     if spec.lambda2 >= 1.0:
-        track = 0.0
-        for k, t in enumerate(rec.t):
-            if t > spec.tau:
-                break
-            ref = signals.sliding_reference(spec, float(t))
-            track = max(track, float(abs(rec.y1[k] - ref.y1)), float(abs(rec.y2[k] - ref.y2)))
+        m = rec.t <= spec.tau
+        dev1 = abs(rec.y1[m] - (spec.N - spec.lambda2 * rec.f[m])).max()
+        track = float(max(dev1, abs(rec.y2[m] + spec.lambda2 * rec.fdot[m]).max()))
     summary_out = sys.stdout
     if args.out:
         with _open_out(args.out) as fh:

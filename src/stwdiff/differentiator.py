@@ -14,6 +14,9 @@ with r = u - y1 - dt*y2, a = dt (lambda1 sqrt(L)), b = dt^2 (lambda2 L).  The
 solution is closed form: a deadzone (sigma = 0, xi = r/b) for |r| <= b,
 otherwise a quadratic in sqrt|sigma|.  No iteration, no chattering at the
 equilibrium.
+
+`explicit_update` and `implicit_update` are the recurrence's one source; the
+step functions and the simulation loop of `harness` both call them.
 """
 
 from __future__ import annotations
@@ -87,12 +90,18 @@ def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[floa
     return (k1 * half + s.y2, k2 * sgn)
 
 
+def explicit_update(y1: float, y2: float, u: float, dt: float, k1: float, k2: float) -> tuple[float, float]:
+    """Forward Euler update of (y1, y2) on the input u, with sign(0) = 0."""
+    d = u - y1
+    sgn = 1.0 if d > 0.0 else (-1.0 if d < 0.0 else 0.0)
+    return y1 + dt * (k1 * sgn * math.sqrt(abs(d)) + y2), y2 + dt * k2 * sgn
+
+
 def step_explicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> DiffState:
     """Forward Euler step with the sign(0) = 0 convention."""
     if scheme.kind != EXPLICIT:
         raise ValueError(f"step_explicit requires an explicit scheme, got {scheme.kind!r}")
-    dy1, dy2 = rhs(s, u, p, 0.0)
-    return DiffState(s.y1 + scheme.dt * dy1, s.y2 + scheme.dt * dy2)
+    return DiffState(*explicit_update(s.y1, s.y2, u, scheme.dt, *injection_gains(p)))
 
 
 def solve_sigma(r: float, a: float, b: float) -> tuple[float, float]:
@@ -108,16 +117,15 @@ def solve_sigma(r: float, a: float, b: float) -> tuple[float, float]:
     return math.copysign(root * root, r), math.copysign(1.0, r)
 
 
-def step_implicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> DiffState:
-    """Backward Euler step; `u` is the input sampled at the step's target time.
+def implicit_update(y1: float, y2: float, u: float, dt: float, k1: float, k2: float) -> tuple[float, float]:
+    """Backward Euler update of (y1, y2), exact to rounding; u is sampled at the step's end."""
+    r = u - y1 - dt * y2
+    sigma, xi = solve_sigma(r, dt * k1, dt * dt * k2)
+    return u - sigma, y2 + (r / dt if sigma == 0.0 else dt * k2 * xi)
 
-    Exact in the sense that the returned state satisfies the implicit
-    relations of the scheme to rounding error.
-    """
+
+def step_implicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> DiffState:
+    """Backward Euler step; `u` is the input sampled at the step's target time."""
     if scheme.kind != IMPLICIT:
         raise ValueError(f"step_implicit requires an implicit scheme, got {scheme.kind!r}")
-    dt = scheme.dt
-    k1, k2 = injection_gains(p)
-    r = u - s.y1 - dt * s.y2
-    sigma, xi = solve_sigma(r, dt * k1, dt * dt * k2)
-    return DiffState(u - sigma, s.y2 + (r / dt if sigma == 0.0 else dt * k2 * xi))
+    return DiffState(*implicit_update(s.y1, s.y2, u, scheme.dt, *injection_gains(p)))

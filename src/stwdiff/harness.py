@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import differentiator as stw
-from .lyapunov import ErrorState, evaluate_grid
+from .lyapunov import ErrorState, GridSpec, evaluate_grid
 from .params import NoiseLevel, Params, error_lower_bound, error_upper_bound
 from .signals import SignalPair, TimeFn
 
@@ -93,34 +93,22 @@ def _finalize(ts, us, fs, fds, y1s, y2s, p: Params, dt: float) -> TrajectoryReco
     return TrajectoryRecord(t=ts, u=us, f=fs, fdot=fds, y1=y1s, y2=y2s, error=error, V=V, dt=dt)
 
 
+# Step k reads sample k + 1 (implicit) or sample k (explicit).
+_STEP_INPUTS = {stw.IMPLICIT: slice(1, None), stw.EXPLICIT: slice(None, -1)}
+# Steps between restarts of the error system's discrete reference.
+_ERROR_BLOCK_STEPS = 1024
+
+
 def _integrate(cfg: SimConfig, us: np.ndarray, y1: float, y2: float) -> tuple[np.ndarray, np.ndarray]:
     """Differentiator states (y1s, y2s) on the inputs `us`, starting from (y1, y2)."""
     dt = cfg.scheme.dt
-    n = len(us) - 1
-    y1s = np.empty(n + 1)
-    y2s = np.empty(n + 1)
+    k1, k2 = stw.injection_gains(cfg.params)
+    update = stw.implicit_update if cfg.scheme.kind == stw.IMPLICIT else stw.explicit_update
+    y1s, y2s = np.empty(len(us)), np.empty(len(us))
     y1s[0], y2s[0] = y1, y2
-
-    lam1sL, lam2L = stw.injection_gains(cfg.params)
-    if cfg.scheme.kind == stw.IMPLICIT:
-        a = dt * lam1sL
-        b = dt * dt * lam2L
-        solve = stw.solve_sigma
-        for k in range(n):
-            u_in = us[k + 1]
-            r = u_in - y1 - dt * y2
-            sigma, xi = solve(r, a, b)
-            y2 = y2 + (r / dt if sigma == 0.0 else dt * lam2L * xi)
-            y1 = u_in - sigma
-            y1s[k + 1], y2s[k + 1] = y1, y2
-    else:
-        for k in range(n):
-            d = us[k] - y1
-            sgn = 1.0 if d > 0.0 else (-1.0 if d < 0.0 else 0.0)
-            dy1 = lam1sL * sgn * math.sqrt(abs(d)) + y2
-            y1 = y1 + dt * dy1
-            y2 = y2 + dt * lam2L * sgn
-            y1s[k + 1], y2s[k + 1] = y1, y2
+    for k, u in enumerate(us[_STEP_INPUTS[cfg.scheme.kind]].tolist(), 1):
+        y1, y2 = update(y1, y2, u, dt, k1, k2)
+        y1s[k], y2s[k] = y1, y2
     return y1s, y2s
 
 
@@ -143,7 +131,7 @@ def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
         us = np.fromiter((fs[k] + eta(ts[k]) for k in range(n + 1)), dtype=float, count=n + 1)
         fds = np.fromiter((fdot(t) for t in ts), dtype=float, count=n + 1)
 
-    y1s, y2s = _integrate(cfg, us, us[0], 0.0)
+    y1s, y2s = _integrate(cfg, us, float(us[0]), 0.0)
     return _finalize(ts, us, fs, fds, y1s, y2s, cfg.params, dt)
 
 
@@ -155,12 +143,13 @@ def simulate_error_system(
 ) -> TrajectoryRecord:
     """Integrate the error dynamics x = (y1 - f, y2 - fdot) under disturbance evaluators.
 
-    The differentiator runs on u = f + eta, where (f, fdot) is the discrete
-    reference from (0, 0) whose second difference is fddot, sampled as the
-    scheme samples u; x carries the rounding of y at the magnitude of f.
-    Default initial state is (eta(0), 0), matching the differentiator's own
-    initialization when fdot(0) = 0; pass `x0` for Lyapunov studies.  The
-    record reuses the trajectory layout with f = fdot = 0, u = eta, and
+    The differentiator runs on u = f + eta, where (f, fdot) is a discrete
+    reference whose second difference is fddot, sampled as the scheme samples
+    u.  Both schemes are unchanged by adding c + d t to u and y1 and d to y2,
+    so the reference restarts from (0, 0) at the current x every
+    `_ERROR_BLOCK_STEPS` steps and x carries only one block's rounding.
+    Default initial state is (eta(0), 0); pass `x0` for Lyapunov studies.
+    The record reuses the trajectory layout with f = fdot = 0, u = eta, and
     (y1, y2) holding the error coordinates.
     """
     dt = cfg.scheme.dt
@@ -169,15 +158,18 @@ def simulate_error_system(
 
     ets = np.fromiter((eta(t) for t in ts), dtype=float, count=n + 1)
     gts = np.fromiter((fddot(t) for t in ts), dtype=float, count=n + 1)
-    # Step k reads sample k + 1 (implicit) or sample k (explicit).
-    read = slice(1, None) if cfg.scheme.kind == stw.IMPLICIT else slice(None, -1)
-    fds = np.concatenate(([0.0], np.cumsum(dt * gts[read])))
-    fs = np.concatenate(([0.0], np.cumsum(dt * fds[read])))
-
-    x1, x2 = (ets[0], 0.0) if x0 is None else (x0.x1, x0.x2)
-    y1s, y2s = _integrate(cfg, fs + ets, x1, x2)
+    read = _STEP_INPUTS[cfg.scheme.kind]
+    x1s, x2s = np.empty(n + 1), np.empty(n + 1)
+    x1s[0], x2s[0] = (ets[0], 0.0) if x0 is None else (x0.x1, x0.x2)
+    for lo in range(0, n, _ERROR_BLOCK_STEPS):
+        hi = min(lo + _ERROR_BLOCK_STEPS, n) + 1
+        fds = np.concatenate(([0.0], np.cumsum(dt * gts[lo:hi][read])))
+        fs = np.concatenate(([0.0], np.cumsum(dt * fds[read])))
+        y1s, y2s = _integrate(cfg, fs + ets[lo:hi], float(x1s[lo]), float(x2s[lo]))
+        x1s[lo:hi] = y1s - fs
+        x2s[lo:hi] = y2s - fds
     zeros = np.zeros(n + 1)
-    return _finalize(ts, ets, zeros, zeros, y1s - fs, y2s - fds, cfg.params, dt)
+    return _finalize(ts, ets, zeros, zeros, x1s, x2s, cfg.params, dt)
 
 
 def error_summary(
@@ -249,14 +241,10 @@ def contour_grid(
 
     V has shape (len(x1s), len(x2s)).
     """
-    x1_min, x1_max, x2_min, x2_max = box
     n1, n2 = resolution
     if n1 < 2 or n2 < 2:
         raise ValueError(f"resolution must be at least 2x2, got {n1}x{n2}")
-    if not (x1_min < x1_max and x2_min < x2_max):
-        raise ValueError(f"degenerate box {box}")
-    x1s = np.linspace(x1_min, x1_max, n1)
-    x2s = np.linspace(x2_min, x2_max, n2)
+    x1s, x2s = GridSpec(*box, n1, n2).axes()
     g1, g2 = np.meshgrid(x1s, x2s, indexing="ij")
     return x1s, x2s, evaluate_grid(g1, g2, p)
 

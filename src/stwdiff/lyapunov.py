@@ -20,7 +20,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .params import NoiseLevel, Params
+from .params import NoiseLevel, Params, error_upper_bound
 
 W1, W2, W3 = "W1", "W2", "W3"
 
@@ -154,8 +154,8 @@ def evaluate_grid(x1, x2, p: Params) -> np.ndarray:
 
 
 def sup_x2_on_omega(p: Params, n: NoiseLevel) -> float:
-    """Largest |x2| over the invariant set {V <= N}: 2 sqrt(alpha (lambda2+1) N L)."""
-    return 2.0 * math.sqrt(p.alpha * (p.lambda2 + 1.0) * n.N * p.L)
+    """Largest |x2| over the invariant set {V <= N}: the error bound is this sup."""
+    return error_upper_bound(p, n)
 
 
 def omega_contains(x: ErrorState, p: Params, n: NoiseLevel) -> bool:

@@ -12,6 +12,12 @@ import math
 from dataclasses import dataclass
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Differentiator gains lambda1, lambda2, curvature bound L, and alpha.
@@ -28,9 +34,7 @@ class Params:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "L"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_positive_finite(name, getattr(self, name))
         if not 1.0 < self.alpha <= 4.0:
             raise ValueError(f"alpha must lie in (1, 4], got {self.alpha}")
 
@@ -61,13 +65,10 @@ class GainInterval:
 def validate_condition(p: Params) -> bool:
     """True iff 1 < lambda1/sqrt(8(lambda2+1)) < ((alpha+1)lambda2+alpha-1)/(2 sqrt(alpha)(lambda2+1)).
 
-    Both inequalities are strict; floating equality at either endpoint
-    returns False.
+    That is, iff lambda1 lies in the open interval `lambda1_range`; floating
+    equality at either endpoint returns False.
     """
-    lam2p1 = p.lambda2 + 1.0
-    ratio = p.lambda1 / math.sqrt(8.0 * lam2p1)
-    upper = ((p.alpha + 1.0) * p.lambda2 + p.alpha - 1.0) / (2.0 * math.sqrt(p.alpha) * lam2p1)
-    return 1.0 < ratio < upper
+    return lambda1_range(p.lambda2, p.alpha).contains(p.lambda1)
 
 
 def lambda2_min(alpha: float) -> float:
@@ -91,8 +92,7 @@ def lambda1_range(lambda2: float, alpha: float) -> GainInterval:
     to avoid cancellation near the empty-interval boundary.  The interval
     is empty exactly when lambda2 <= lambda2_min(alpha).
     """
-    if not lambda2 > 0:
-        raise ValueError(f"lambda2 must be positive, got {lambda2}")
+    check_positive_finite("lambda2", lambda2)
     if not 1.0 < alpha <= 4.0:
         raise ValueError(f"alpha must lie in (1, 4], got {alpha}")
     lam2p1 = lambda2 + 1.0
@@ -108,10 +108,8 @@ def error_upper_bound(p: Params, n: NoiseLevel) -> float:
 
 def error_lower_bound(lambda2: float, n: NoiseLevel, L: float) -> float:
     """Error level 2 sqrt((lambda2+1) N L) attained by the worst-case signal pair."""
-    if not lambda2 > 0:
-        raise ValueError(f"lambda2 must be positive, got {lambda2}")
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L}")
+    check_positive_finite("lambda2", lambda2)
+    check_positive_finite("L", L)
     return 2.0 * math.sqrt((lambda2 + 1.0) * n.N * L)
 
 
@@ -123,8 +121,10 @@ def tightness_factor(p: Params) -> float:
 def convergence_time_bound(p: Params, fdot0: float) -> float:
     """Worst-case noise-free convergence time |fdot(0)| / ((lambda2 - 1) L).
 
-    Defined only for lambda2 > 1.
+    Defined only for lambda2 > 1 and a finite fdot0.
     """
     if not p.lambda2 > 1.0:
         raise ValueError(f"convergence time bound requires lambda2 > 1, got {p.lambda2}")
+    if not math.isfinite(fdot0):
+        raise ValueError(f"fdot0 must be finite, got {fdot0}")
     return abs(fdot0) / ((p.lambda2 - 1.0) * p.L)

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .differentiator import DiffState
+from .params import NoiseLevel, check_positive_finite
 
 TimeFn = Callable[[float], float]
 GridFn = Callable[[np.ndarray], np.ndarray]
@@ -107,14 +108,9 @@ class WorstCaseSpec:
     theta: float = field(init=False)
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.lambda2 > 0:
-            raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
-        if not self.N >= 0:
-            raise ValueError(f"N must be nonnegative, got {self.N}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        for name in ("tau", "lambda2", "L"):
+            check_positive_finite(name, getattr(self, name))
+        NoiseLevel(self.N)  # N must be nonnegative and finite
         theta = 2.0 * math.sqrt(self.N / ((self.lambda2 + 1.0) * self.L))
         object.__setattr__(self, "theta", theta)
         if self.lambda2 >= 1.0 and not self.tau > theta:

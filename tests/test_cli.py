@@ -72,6 +72,11 @@ class TestTune:
     def test_bad_sweep_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["tune", "--lambda2-start", "0.9"])
         assert code == 2
+        for value in ("nan", "inf", "-inf"):
+            code, out, err = run_cli(capsys, ["tune", f"--fdot0={value}"])
+            assert code == 2
+            assert "finite" in err
+            assert out == ""
 
 
 class TestSimulate:
@@ -208,6 +213,11 @@ class TestContour:
         with pytest.raises(SystemExit) as exc:
             main(["contour", "--box", "1,2,3"])
         assert exc.value.code == 2
+        for box in ("-inf,1,-1,1", "-1,1,-1,inf", "nan,1,-1,1"):
+            code, out, err = run_cli(capsys, ["contour", f"--box={box}", "--resolution", "5x5"])
+            assert code == 2
+            assert "finite" in err
+            assert out == ""
 
 
 class TestWorstCase:

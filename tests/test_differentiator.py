@@ -67,6 +67,20 @@ class TestExplicit:
         with pytest.raises(ValueError):
             step_explicit(init(0.0), 0.0, IMP, P_REF)
 
+    def test_is_forward_euler_on_rhs_bit_for_bit(self):
+        # step_explicit does not call rhs; this ties the scheme to the field.
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            p = Params(rng.uniform(2.0, 12.0), rng.uniform(0.5, 6.0), rng.uniform(0.2, 5.0), 4.0)
+            scheme = StepScheme("explicit", float(rng.choice([1e-5, 1e-4, 5e-4, 2e-3])))
+            s = DiffState(*rng.uniform(-3.0, 3.0, size=2).tolist())
+            u = s.y1 + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.5))
+            assert u != s.y1
+            dy1, dy2 = rhs(s, u, p)
+            want = (s.y1 + scheme.dt * dy1, s.y2 + scheme.dt * dy2)
+            got = step_explicit(s, u, scheme, p)
+            assert (got.y1.hex(), got.y2.hex()) == (want[0].hex(), want[1].hex()), (s, u, p)
+
 
 class TestImplicit:
     def test_equilibrium_no_chattering(self):

@@ -41,6 +41,18 @@ class TestTypes:
                 Params(**kwargs)
         with pytest.raises(ValueError, match="finite"):
             NoiseLevel(bad)
+        for call in (
+            lambda: lambda1_range(bad, 4.0),
+            lambda: error_lower_bound(bad, NoiseLevel(0.01), 1.0),
+            lambda: error_lower_bound(1.1, NoiseLevel(0.01), bad),
+            lambda: convergence_time_bound(P_REF, bad),
+            lambda: convergence_time_bound(P_REF, -bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        for call in (lambda: lambda2_min(bad), lambda: lambda1_range(1.1, bad)):
+            with pytest.raises(ValueError, match="alpha"):
+                call()
 
     def test_params_allows_condition_violating_gains(self):
         # Divergence experiments need lambda2 < 1 to stay representable.

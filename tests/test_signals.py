@@ -80,6 +80,14 @@ class TestWorstCasePair:
         with pytest.raises(ValueError):
             WorstCaseSpec(tau=0.1, lambda2=1.1, N=0.01, L=1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["tau", "lambda2", "N", "L"])
+    def test_non_finite_fields_rejected(self, field, bad):
+        for lambda2 in (1.1, 0.9):  # sliding ramp and divergence pair
+            kwargs = {"tau": 1.0, "lambda2": lambda2, "N": 0.01, "L": 1.0, field: bad}
+            with pytest.raises(ValueError, match="finite"):
+                WorstCaseSpec(**kwargs)
+
     def test_values_at_tau(self):
         pair = worst_case_pair(SPEC)
         assert pair.f(SPEC.tau) == pytest.approx(0.009523809523809523, rel=1e-12)
