@@ -183,7 +183,8 @@ def error_summary(
 
     The settling time is the earliest grid time after which |error| never
     leaves the band again (robust to transient crossings); None if the run
-    ends outside the band.  `band` defaults to the closed-form upper bound.
+    ends outside the band.  `band`, nonnegative and finite, defaults to the
+    closed-form upper bound.
     """
     if not 0.0 <= tau <= rec.t[-1]:
         raise ValueError(f"tau={tau} outside the record horizon {rec.t[-1]}")
@@ -191,6 +192,8 @@ def error_summary(
     lower = error_lower_bound(p.lambda2, n, p.L)
     if band is None:
         band = upper
+    elif not 0.0 <= band < math.inf:
+        raise ValueError(f"band must be nonnegative and finite, got {band}")
     tail = rec.t >= tau
     sup_after = float(np.max(np.abs(rec.error[tail])))
     outside = np.abs(rec.error) > band

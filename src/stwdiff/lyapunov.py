@@ -105,26 +105,32 @@ class GridSpec:
         )
 
 
-def _thresholds(x: ErrorState, p: Params):
-    """Mirrored state (z1, z2) and region thresholds (t1, t2) of one state.
+def _levels(z1, z2, p: Params):
+    """Region thresholds t1, t2 and the W3 value of V at a mirrored state.
 
-    The mirror maps x2 < 0 onto the half plane where the template W is
-    defined; t1 = z2^2 / (4 alpha (lambda2+1) L) and t2 = (2 alpha + 1) t1.
+    t1 = z2^2 / (4 alpha (lambda2+1) L), t2 = (2 alpha + 1) t1 and
+    W3 = z1 - z2^2 / (2 (lambda2+1) L); floats and arrays alike.
+    """
+    lam2p1L = (p.lambda2 + 1.0) * p.L
+    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
+    return t1, (2.0 * p.alpha + 1.0) * t1, z1 - z2 * z2 / (2.0 * lam2p1L)
+
+
+def _thresholds(x: ErrorState, p: Params):
+    """Mirrored state (z1, z2), thresholds (t1, t2) and W3 value of one state.
+
+    The mirror maps x2 < 0 onto the half plane where the template W is defined.
     """
     z1, z2 = (x.x1, x.x2) if x.x2 >= 0 else (-x.x1, -x.x2)
-    t1 = z2 * z2 / (4.0 * p.alpha * ((p.lambda2 + 1.0) * p.L))
-    return z1, z2, t1, (2.0 * p.alpha + 1.0) * t1
+    return (z1, z2, *_levels(z1, z2, p))
 
 
 def _thresholds_grid(x1, x2, p: Params):
     """Array form of `_thresholds`, plus the value of V: (z1, z2, t1, t2, V)."""
     flip = x2 < 0
     z1, z2 = np.where(flip, -x1, x1), np.where(flip, -x2, x2)
-    lam2p1L = (p.lambda2 + 1.0) * p.L
-    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
-    t2 = (2.0 * p.alpha + 1.0) * t1
-    v = np.where(z1 <= t1, 2.0 * t1 - z1, np.where(z1 <= t2, t1, z1 - z2 * z2 / (2.0 * lam2p1L)))
-    return z1, z2, t1, t2, v
+    t1, t2, w3 = _levels(z1, z2, p)
+    return z1, z2, t1, t2, np.where(z1 <= t1, 2.0 * t1 - z1, np.where(z1 <= t2, t1, w3))
 
 
 def region(x: ErrorState, p: Params) -> Region:
@@ -133,19 +139,15 @@ def region(x: ErrorState, p: Params) -> Region:
     Boundaries follow the closed/half-open pattern of the definition:
     W1 for z1 <= t1, W2 for t1 < z1 <= t2, W3 beyond.
     """
-    z1, _, t1, t2 = _thresholds(x, p)
+    z1, _, t1, t2, _ = _thresholds(x, p)
     idx = W1 if z1 <= t1 else W2 if z1 <= t2 else W3
     return Region(index=idx, mirrored=x.x2 < 0)
 
 
 def evaluate(x: ErrorState, p: Params) -> float:
     """Value of the piecewise Lyapunov function; nonnegative, zero only at 0."""
-    z1, z2, t1, t2 = _thresholds(x, p)
-    if z1 <= t1:
-        return 2.0 * t1 - z1
-    if z1 <= t2:
-        return t1
-    return z1 - z2 * z2 / (2.0 * ((p.lambda2 + 1.0) * p.L))
+    z1, _, t1, t2, w3 = _thresholds(x, p)
+    return 2.0 * t1 - z1 if z1 <= t1 else t1 if z1 <= t2 else w3
 
 
 def evaluate_grid(x1, x2, p: Params) -> np.ndarray:

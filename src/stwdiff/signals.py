@@ -205,6 +205,7 @@ def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
     otherwise central second differences with the boundary samples
     excluded.  Tolerance 1e-9 * max(N_cert, L_cert).
     """
+    check_positive_finite("horizon", horizon)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     tol = 1e-9 * max(pair.N_cert, pair.L_cert)
@@ -225,27 +226,40 @@ def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
     return True
 
 
-def _parse_kv(body: str, what: str) -> dict[str, float]:
+# Keys of each spec kind and their defaults; None stands for the default_L or
+# default_N passed to `parse_pair`.  Each key also matches in lower case.
+_SPEC_KEYS: dict[str, dict[str, Optional[float]]] = {
+    "quadratic": {"L": None, "sign": -1.0},
+    "switching": {"N": None, "c1": 0.011, "c2": 0.00149},
+    "constant": {"N": None},
+    "none": {},
+    "worstcase": {"tau": 1.0, "lambda2": 1.1, "N": None, "L": None},
+}
+
+
+def _split_spec(spec: str, what: str, kinds: tuple[str, ...]) -> tuple[str, dict[str, float]]:
+    """Kind of `spec` and the finite values it sets, each key checked against that kind."""
+    name, _, body = spec.partition(":")
+    kind = name.strip().lower()
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r} (expected {', '.join(kinds)})")
+    keys = {alias: key for key in _SPEC_KEYS[kind] for alias in (key, key.lower())}
     out: dict[str, float] = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
-            raise ValueError(f"bad {what} option {item!r}: expected key=value")
-        key, val = item.split("=", 1)
+    body = body.strip()
+    for item in body.split(",") if body else ():
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ValueError(f"bad {name} option {item!r}: expected key=value")
+        if key not in keys:
+            raise ValueError(f"unknown {kind} key {key!r} (expected {', '.join(_SPEC_KEYS[kind]) or 'no keys'})")
         try:
             value = float(val)
         except ValueError as exc:
-            raise ValueError(f"bad {what} value {item!r}") from exc
+            raise ValueError(f"bad {name} value {item!r}") from exc
         if not math.isfinite(value):
-            raise ValueError(f"bad {what} value {item!r}: must be finite")
-        out[key.strip()] = value
-    return out
-
-
-def _split_spec(spec: str) -> tuple[str, dict[str, float]]:
-    name, _, body = spec.partition(":")
-    return name.strip().lower(), _parse_kv(body.strip(), name)
+            raise ValueError(f"bad {name} value {item!r}: must be finite")
+        out[keys[key]] = value
+    return kind, out
 
 
 def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: float) -> SignalPair:
@@ -255,37 +269,27 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
       signal:  quadratic:L=...,sign=+-1
       noise:   switching:N=...,c1=...,c2=...  |  constant:N=...  |  none
       either:  worstcase:tau=...,lambda2=...,N=...,L=...
-    Missing L / N fall back to the supplied defaults.
+    Missing L / N fall back to the supplied defaults; a key the kind does
+    not take raises ValueError.
     """
-    sig_name, sig_kv = _split_spec(signal_spec)
-    noi_name, noi_kv = _split_spec(noise_spec)
+    sig_name, sig_kv = _split_spec(signal_spec, "signal", ("quadratic", "worstcase"))
+    noi_name, noi_kv = _split_spec(noise_spec, "noise", ("switching", "constant", "none", "worstcase"))
+    fallback = {"L": default_L, "N": default_N}
 
-    if sig_name == "worstcase" or noi_name == "worstcase":
-        kv = {**sig_kv, **noi_kv}
-        spec = WorstCaseSpec(
-            tau=kv.get("tau", 1.0),
-            lambda2=kv.get("lambda2", 1.1),
-            N=kv.get("N", kv.get("n", default_N)),
-            L=kv.get("L", kv.get("l", default_L)),
-        )
-        return worst_case_pair(spec)
+    def values(kind: str, given: dict[str, float]) -> dict[str, float]:
+        return {k: given.get(k, fallback[k] if d is None else d) for k, d in _SPEC_KEYS[kind].items()}
 
-    if sig_name != "quadratic":
-        raise ValueError(f"unknown signal kind {sig_name!r} (expected quadratic or worstcase)")
-    L = sig_kv.get("L", sig_kv.get("l", default_L))
-    sgn = sig_kv.get("sign", -1.0)
+    if "worstcase" in (sig_name, noi_name):
+        return worst_case_pair(WorstCaseSpec(**values("worstcase", {**sig_kv, **noi_kv})))
+
+    sig = values("quadratic", sig_kv)
+    L, sgn = sig["L"], sig["sign"]
     if sgn not in (-1.0, 1.0):
         raise ValueError(f"quadratic sign must be +1 or -1, got {sgn}")
 
-    if noi_name in ("none", "constant"):
-        value = 0.0 if noi_name == "none" else noi_kv.get("N", noi_kv.get("n", default_N))
-        eta, eta_grid = _constant_noise(value)
-        n_cert = abs(value)
-        noise_desc = "no noise" if noi_name == "none" else f"constant noise {value}"
-    elif noi_name == "switching":
-        N = noi_kv.get("N", noi_kv.get("n", default_N))
-        c1 = noi_kv.get("c1", 0.011)
-        c2 = noi_kv.get("c2", 0.00149)
+    noi = values(noi_name, noi_kv)
+    if noi_name == "switching":
+        N, c1, c2 = noi["N"], noi["c1"], noi["c2"]
         if not 0.0 < c2 < c1:
             raise ValueError(f"switching noise needs 0 < c2 < c1, got c1={c1}, c2={c2}")
         eta = lambda t: switching_noise(t, N, c1, c2)
@@ -293,7 +297,10 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
         n_cert = abs(N)
         noise_desc = f"switching noise N={N}, c1={c1}, c2={c2}"
     else:
-        raise ValueError(f"unknown noise kind {noi_name!r} (expected switching, constant, none, worstcase)")
+        value = noi.get("N", 0.0)  # "none" takes no N
+        eta, eta_grid = _constant_noise(value)
+        n_cert = abs(value)
+        noise_desc = "no noise" if noi_name == "none" else f"constant noise {value}"
 
     desc = f"quadratic signal sign={sgn:+.0f}, L={L}; {noise_desc}"
     return _quadratic_pair(L, sgn, eta, eta_grid, n_cert, desc)

@@ -186,6 +186,7 @@ class TestVerifyLyapunov:
         code, _, err = run_cli(capsys, ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "10x10"])
         assert code == 1
         assert "gain condition" in err
+        assert err.count("gain condition violated") == 1
 
 
 class TestContour:
@@ -283,6 +284,75 @@ class TestHelpAndErrors:
         code, _, err = run_cli(capsys, ["simulate", "--noise", "pink:level=3", "--horizon", "0.01", "--tau", "0"])
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stream",
+    [(["validate"], 1), (["bounds"], 1), (["tune", "--steps", "3"], 1), (["contour", "--resolution", "5x5"], 2)],
+    ids=["validate", "bounds", "tune", "contour"],
+)
+def test_stamp_adds_one_line_to_the_summary_stream(capsys, argv, stream):
+    # The summary stream is stderr when the CSV is on stdout (contour), else stdout.
+    plain = run_cli(capsys, argv)
+    stamped = run_cli(capsys, argv + ["--stamp"])
+    first, _, rest = stamped[stream].partition("\n")
+    assert first.startswith("stamp=") and "stamp=" not in rest
+    assert (rest, stamped[3 - stream], stamped[0]) == (plain[stream], plain[3 - stream], plain[0])
+
+
+def test_flag_error_writes_no_csv(capsys, tmp_path):
+    # The default --tau 0.5 lies beyond a 0.3 s horizon.
+    path = tmp_path / "run.csv"
+    code, out, err = run_cli(capsys, ["simulate", "--horizon", "0.3", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tau=0.5")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, spec", [("--signal", "quadratic:sing=1"), ("--noise", "switching:NN=5"), ("--noise", "none:N=5")]
+)
+def test_unknown_spec_key_exits_two(capsys, flag, spec):
+    code, out, err = run_cli(capsys, ["simulate", "--horizon", "0.01", "--tau", "0", flag, spec])
+    assert (code, out) == (2, "")
+    assert "unknown" in err and "key" in err
+
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+SIM = "fa3e50b5f8916e19d9037c186beb01d5637d9c95b3372da2682f78f5c0c57276"
+SIM_SUMMARY = "958cea956e8fa2833694e39b12c78aa5c6530295398c1a49988fc921d2288236"
+VL = "10a6903a1348ab56aacecb1a59f4c63de043b5aa2af8814bfeba43051cc00cac"
+VL_SUMMARY = "2bb4b147d46f3a23d091e096ad9e45fad5202c59cc62ed939ec3ffe9fe74ccf1"
+CONTOUR = "2c6275d0ec396639abefe80f6dd0126378c12864cdcf60256fdec5069791ac67"
+WC_SUMMARY = "5be4883ecafbe3167573f47c243687059abcbc1f5ac850055c62eace09319e57"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, csv",
+    [
+        (["validate"], 0, "450d61fca120a9a4ab511ef9b1a5fb379e15bb872491a75f79f09c8a41fcc9ab", EMPTY, None),
+        (["bounds"], 0, "41409b4e217969f0bf029612c732ae44b07b0558cffec51dd94f48a43bdb9874", EMPTY, None),
+        (["tune"], 0, "8b8369751b9acca24f52743f4df70734569975da64ceaeb57784eef85cbd9e96", EMPTY, None),
+        (["simulate"], 0, SIM, SIM_SUMMARY, None),
+        (["verify-lyapunov"], 0, VL, VL_SUMMARY, None),
+        (["contour"], 0, CONTOUR, EMPTY, None),
+        (["worst-case"], 0, WC_SUMMARY, EMPTY, None),
+        (["simulate", "--out"], 0, SIM_SUMMARY, EMPTY, SIM),
+        (["verify-lyapunov", "--out"], 0, VL_SUMMARY, EMPTY, VL),
+        (["contour", "--out"], 0, EMPTY, EMPTY, CONTOUR),
+        (["worst-case", "--out"], 0, WC_SUMMARY, EMPTY, "f2ea36f7b6f20403c643acc927aba35da7a53f73958901415fc5b5c25f998ed7"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_default_output_bytes_are_pinned(capsys, tmp_path, argv, code, out, err, csv):
+    # sha256 of stdout, stderr and the --out file for every subcommand at its
+    # defaults: the summary goes to stderr exactly when the CSV is on stdout.
+    path = tmp_path / "out.csv"
+    got = run_cli(capsys, argv + [str(path)] if csv else argv)
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (got[0], digest(got[1]), digest(got[2])) == (code, out, err)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest() if csv else None) == csv
+    assert path.exists() == bool(csv)
 
 
 def test_python_dash_m_runs_the_cli():

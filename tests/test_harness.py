@@ -290,6 +290,16 @@ class TestErrorSummary:
         with pytest.raises(ValueError):
             error_summary(rec, P_REF, N_REF, tau=1.0)
 
+    @pytest.mark.parametrize("band", [math.nan, math.inf, -1e-3])
+    def test_band_must_be_nonnegative_and_finite(self, band):
+        # |error| > nan is False everywhere, so a NaN band used to report
+        # the run as settled from its first sample.
+        cfg = SimConfig(StepScheme("implicit", 1e-3), 0.1, P_REF, N_REF)
+        rec = simulate(cfg, reference_pair())
+        with pytest.raises(ValueError, match="band"):
+            error_summary(rec, P_REF, N_REF, tau=0.0, band=band)
+        assert error_summary(rec, P_REF, N_REF, tau=0.0, band=0.0).first_entry_time is None
+
 
 class TestOmegaInvariance:
     def test_valid_gains_enter_and_stay(self):

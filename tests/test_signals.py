@@ -178,6 +178,14 @@ class TestMembership:
         with pytest.raises(ValueError):
             check_membership(pair, horizon=1.0, samples=1)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # A NaN or infinite horizon used to sample nothing but NaN times and
+        # pass vacuously.
+        pair = parse_pair("quadratic", "constant:N=0.01", 1.0, 0.01)
+        with pytest.raises(ValueError, match="horizon"):
+            check_membership(pair, horizon=horizon, samples=11)
+
 
 class TestParsePair:
     def test_defaults_flow_in(self):
@@ -205,6 +213,36 @@ class TestParsePair:
             parse_pair("quadratic:sign=2", "none", 1.0, 0.01)
         with pytest.raises(ValueError):
             parse_pair("quadratic:L", "none", 1.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "signal, noise",
+        [
+            ("quadratic:sing=1", "none"),
+            ("quadratic", "switching:NN=5"),
+            ("quadratic", "none:N=5"),
+            ("quadratic", "constant:c1=0.1"),
+            ("quadratic:N=0.1", "none"),
+            ("worstcase:sign=1", "none"),
+            ("quadratic", "worstcase:c1=0.1"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, signal, noise):
+        with pytest.raises(ValueError, match="unknown .* key"):
+            parse_pair(signal, noise, 1.0, 0.01)
+
+    def test_keys_checked_against_their_own_kind(self):
+        # Each spec is checked against its own kind; a worst-case pair takes
+        # its tau, lambda2, N and L from either spec, as before.
+        pair = parse_pair("quadratic:L=2,sign=1", "worstcase:tau=2,lambda2=1.5,n=0.04", 1.0, 0.01)
+        assert (pair.L_cert, pair.N_cert) == (2.0, 0.04)
+        pair = parse_pair("worstcase:tau=2", "switching:N=0.03,c1=0.02,c2=0.001", 1.0, 0.01)
+        assert pair.N_cert == 0.03
+
+    def test_lower_case_aliases_and_defaults(self):
+        pair = parse_pair("quadratic:l=3,sign=1", "constant:n=0.5", 1.0, 0.01)
+        assert (pair.fddot(0.0), pair.eta(0.0)) == (3.0, 0.5)
+        pair = parse_pair("quadratic", "switching", 1.0, 0.01)
+        assert pair.description == "quadratic signal sign=-1, L=1.0; switching noise N=0.01, c1=0.011, c2=0.00149"
 
     @pytest.mark.parametrize(
         "signal, noise",
