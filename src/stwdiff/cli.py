@@ -260,8 +260,12 @@ def main(argv=None) -> int:
     if csv_on_stdout:
         write_csv(sys.stdout)
     elif write_csv is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_csv(fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_csv(fh)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     if args.stamp:
         summary = [f"stamp={datetime.datetime.now().isoformat()}", *summary]
     if summary:

@@ -30,7 +30,7 @@ EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffState:
     """Differentiator state: y1 estimates the signal, y2 its derivative."""
 
@@ -66,11 +66,6 @@ def spow_half(y: float) -> float:
     return math.copysign(math.sqrt(abs(y)), y)
 
 
-def injection_gains(p: Params) -> tuple[float, float]:
-    """Gains (lambda1 sqrt(L), lambda2 L) of the square-root and discontinuous terms."""
-    return p.lambda1 * math.sqrt(p.L), p.lambda2 * p.L
-
-
 def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[float, float]:
     """Continuous-time right-hand side (dy1, dy2).
 
@@ -86,7 +81,7 @@ def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[floa
     else:
         sgn = selection
         half = 0.0
-    k1, k2 = injection_gains(p)
+    k1, k2 = p.injection_gains
     return (k1 * half + s.y2, k2 * sgn)
 
 
@@ -101,7 +96,7 @@ def step_explicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> Diff
     """Forward Euler step with the sign(0) = 0 convention."""
     if scheme.kind != EXPLICIT:
         raise ValueError(f"step_explicit requires an explicit scheme, got {scheme.kind!r}")
-    return DiffState(*explicit_update(s.y1, s.y2, u, scheme.dt, *injection_gains(p)))
+    return DiffState(*explicit_update(s.y1, s.y2, u, scheme.dt, *p.injection_gains))
 
 
 def solve_sigma(r: float, a: float, b: float) -> tuple[float, float]:
@@ -128,4 +123,4 @@ def step_implicit(s: DiffState, u: float, scheme: StepScheme, p: Params) -> Diff
     """Backward Euler step; `u` is the input sampled at the step's target time."""
     if scheme.kind != IMPLICIT:
         raise ValueError(f"step_implicit requires an implicit scheme, got {scheme.kind!r}")
-    return DiffState(*implicit_update(s.y1, s.y2, u, scheme.dt, *injection_gains(p)))
+    return DiffState(*implicit_update(s.y1, s.y2, u, scheme.dt, *p.injection_gains))

@@ -102,7 +102,7 @@ _ERROR_BLOCK_STEPS = 1024
 def _integrate(cfg: SimConfig, us: np.ndarray, y1: float, y2: float) -> tuple[np.ndarray, np.ndarray]:
     """Differentiator states (y1s, y2s) on the inputs `us`, starting from (y1, y2)."""
     dt = cfg.scheme.dt
-    k1, k2 = stw.injection_gains(cfg.params)
+    k1, k2 = cfg.params.injection_gains
     update = stw.implicit_update if cfg.scheme.kind == stw.IMPLICIT else stw.explicit_update
     y1s, y2s = np.empty(len(us)), np.empty(len(us))
     y1s[0], y2s[0] = y1, y2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -37,6 +38,14 @@ class Params:
             check_positive_finite(name, getattr(self, name))
         if not 1.0 < self.alpha <= 4.0:
             raise ValueError(f"alpha must lie in (1, 4], got {self.alpha}")
+
+    @cached_property
+    def injection_gains(self) -> tuple[float, float]:
+        """Gains (lambda1 sqrt(L), lambda2 L) of the square-root and discontinuous terms.
+
+        Computed once per instance; not a field, so not part of ==, hash or repr.
+        """
+        return self.lambda1 * math.sqrt(self.L), self.lambda2 * self.L
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,33 @@ class SignalPair:
         return self.f(t) + self.eta(t)
 
 
+def _switching(N: float, c1: float, c2: float) -> TimeFn:
+    """`switching_noise` as a function of time; checks 0 < c2 < c1 once."""
+    if not 0.0 < c2 < c1:
+        raise ValueError(f"switching noise needs 0 < c2 < c1, got c1={c1}, c2={c2}")
+    start = 10.0 * c1
+
+    def eta(t: float) -> float:
+        if t < 0.0:
+            raise ValueError(f"noise defined for t >= 0, got {t}")
+        if t < start:
+            return -N
+        # Compensated remainder: floor in double precision can round either way
+        # at period boundaries, so fold the result back into [0, c1).
+        s = t - c1 * math.floor(t / c1)
+        if s < 0.0:
+            s += c1
+        elif s >= c1:
+            s -= c1
+        if s < c2:
+            return N
+        if s > c2:
+            return -N
+        return 0.0
+
+    return eta
+
+
 def switching_noise(t: float, N: float, c1: float, c2: float) -> float:
     """Square-wave noise: -N before t = 10 c1, then period c1 with duty c2/c1 at +N.
 
@@ -62,24 +89,7 @@ def switching_noise(t: float, N: float, c1: float, c2: float) -> float:
     the remainder at -N; exactly at the switch instant the value is 0
     (measure zero, irrelevant for admissibility).
     """
-    if not 0.0 < c2 < c1:
-        raise ValueError(f"need 0 < c2 < c1, got c1={c1}, c2={c2}")
-    if t < 0.0:
-        raise ValueError(f"noise defined for t >= 0, got {t}")
-    if t < 10.0 * c1:
-        return -N
-    # Compensated remainder: floor in double precision can round either way
-    # at period boundaries, so fold the result back into [0, c1).
-    s = t - c1 * math.floor(t / c1)
-    if s < 0.0:
-        s += c1
-    elif s >= c1:
-        s -= c1
-    if s < c2:
-        return N
-    if s > c2:
-        return -N
-    return 0.0
+    return _switching(N, c1, c2)(t)
 
 
 def _switching_noise_grid(ts: np.ndarray, N: float, c1: float, c2: float) -> np.ndarray:
@@ -290,9 +300,7 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
     noi = values(noi_name, noi_kv)
     if noi_name == "switching":
         N, c1, c2 = noi["N"], noi["c1"], noi["c2"]
-        if not 0.0 < c2 < c1:
-            raise ValueError(f"switching noise needs 0 < c2 < c1, got c1={c1}, c2={c2}")
-        eta = lambda t: switching_noise(t, N, c1, c2)
+        eta = _switching(N, c1, c2)
         eta_grid = lambda ts: _switching_noise_grid(ts, N, c1, c2)
         n_cert = abs(N)
         noise_desc = f"switching noise N={N}, c1={c1}, c2={c2}"

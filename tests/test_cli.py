@@ -309,6 +309,15 @@ def test_flag_error_writes_no_csv(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("target", ["missing_dir/x.csv", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_out_exits_two(capsys, tmp_path, target):
+    # Exit 1 stays reserved for verification failures.
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, ["simulate", "--horizon", "0.01", "--tau", "0", "--noise", "none", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flag, spec", [("--signal", "quadratic:sing=1"), ("--noise", "switching:NN=5"), ("--noise", "none:N=5")]
 )

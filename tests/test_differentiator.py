@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,35 @@ class TestTypes:
                 StepScheme("explicit", bad)
 
     def test_state_finite(self):
-        with pytest.raises(ValueError):
-            DiffState(float("nan"), 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for y1, y2 in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    DiffState(y1, y2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scheme", [EXP, IMP], ids=["explicit", "implicit"])
+    def test_step_on_non_finite_input_raises(self, bad, scheme):
+        step = step_implicit if scheme is IMP else step_explicit
+        with pytest.raises(ValueError, match="finite"):
+            step(DiffState(0.2, -0.1), bad, scheme, P_REF)
+
+    def test_state_is_frozen(self):
+        s = DiffState(0.25, -1.5)
+        for name in ("y1", "y2"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, 1.0)
+        assert (s.y1, s.y2) == (0.25, -1.5)
+
+    def test_state_is_equal_and_hashed_by_value(self):
+        s, same = DiffState(0.25, -1.5), DiffState(0.25, -1.5)
+        assert s is not same and s == same and hash(s) == hash(same)
+        assert len({s, same, DiffState(-1.5, 0.25)}) == 2
+        assert s != DiffState(0.25, 1.5) and s != (0.25, -1.5)
+
+    def test_state_has_no_instance_dict(self):
+        s = DiffState(0.25, -1.5)
+        assert not hasattr(s, "__dict__")
+        assert DiffState.__slots__ == ("y1", "y2")
 
 
 class TestInit:

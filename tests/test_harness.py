@@ -155,6 +155,33 @@ class TestSimulate:
                     assert np.array_equal(getattr(rec, name).view(np.uint64), stepped.view(np.uint64)), (p, dt, name)
 
     @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    def test_online_steps_on_scalar_samples_match_simulate(self, kind):
+        # An online user feeds one sample pair.u(t) per tick at t = (i+1) dt;
+        # the explicit step takes the sample from the step start.  simulate
+        # samples the pair as arrays, so this pins the step API, the scalar
+        # evaluators and the cached gains to the batch path at L != 1.
+        rng = np.random.default_rng(29)
+        step = step_implicit if kind == "implicit" else step_explicit
+        dt, n = 5e-4, 2000
+        scheme = StepScheme(kind, dt)
+        iv = lambda1_range(1.4, 4.0)
+        for p in [Params(0.5 * (iv.lo + iv.hi), 1.4, 1.7, 4.0), random_admissible_params(rng), random_admissible_params(rng)]:
+            assert p.L != 1.0
+            c1 = float(rng.uniform(0.005, 0.02))
+            c2 = c1 * float(rng.uniform(0.05, 0.5))
+            pair = parse_pair(f"quadratic:sign={rng.choice([-1, 1])}", f"switching:c1={c1!r},c2={c2!r}", p.L, 0.01)
+            rec = simulate(SimConfig(scheme, n * dt, p, N_REF), pair)
+            u_prev = pair.u(0.0)
+            states = [init(u_prev)]
+            for i in range(n):
+                u = pair.u((i + 1) * dt)
+                states.append(step(states[-1], u if kind == "implicit" else u_prev, scheme, p))
+                u_prev = u
+            for name in ("y1", "y2"):
+                stepped = np.array([getattr(s, name) for s in states])
+                assert np.array_equal(getattr(rec, name).view(np.uint64), stepped.view(np.uint64)), (p, name)
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
     @pytest.mark.parametrize(
         "pair",
         [

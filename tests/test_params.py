@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stwdiff import (
@@ -68,6 +71,27 @@ class TestTypes:
         assert GainInterval(1.0, 2.0, empty=False).contains(1.5)
         assert not GainInterval(1.0, 2.0, empty=False).contains(1.0)
         assert not GainInterval(1.0, 1.0, empty=True).contains(1.0)
+
+
+class TestInjectionGains:
+    def test_cache_leaves_value_semantics_alone(self):
+        p, q = Params(4.1, 1.1, 1.7, 4.0), Params(4.1, 1.1, 1.7, 4.0)
+        before = (repr(p), hash(p), p == q, dataclasses.fields(p))
+        gains = p.injection_gains
+        assert (repr(p), hash(p), p == q, dataclasses.fields(p)) == before
+        assert [f.name for f in dataclasses.fields(p)] == ["lambda1", "lambda2", "L", "alpha"]
+        assert p.injection_gains is gains
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        lambda1=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        lambda2=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        L=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_is_the_gain_formula_bit_for_bit(self, lambda1, lambda2, L):
+        got = Params(lambda1, lambda2, L, 4.0).injection_gains
+        want = (lambda1 * math.sqrt(L), lambda2 * L)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 class TestCondition:

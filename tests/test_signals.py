@@ -49,6 +49,30 @@ class TestSwitchingNoise:
         with pytest.raises(ValueError):
             switching_noise(-1e-9, 0.01, 0.011, 0.00149)
 
+    @pytest.mark.parametrize("N, c1, c2", [(0.01, 0.011, 0.00149), (1.0, 0.5, 0.125), (0.02, 0.0137, 0.0061)])
+    def test_pair_noise_is_switching_noise_bit_for_bit(self, N, c1, c2):
+        # parse_pair checks (c1, c2) once and keeps the closure; the function
+        # checks on every call. Both must give the same value at every time.
+        eta = parse_pair("quadratic", f"switching:N={N!r},c1={c1!r},c2={c2!r}", 1.0, 0.01).eta
+        rng = np.random.default_rng(41)
+        ts = np.concatenate([switching_grid(c1, c2), rng.uniform(0.0, 400 * c1, size=2000)])
+        got = np.array([eta(t) for t in ts.tolist()])
+        want = np.array([switching_noise(t, N, c1, c2) for t in ts.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert {-N, N} <= set(got.tolist())
+
+    def test_pair_noise_rejects_negative_time(self):
+        eta = parse_pair("quadratic", "switching", 1.0, 0.01).eta
+        with pytest.raises(ValueError, match="t >= 0"):
+            eta(-1e-9)
+
+    @pytest.mark.parametrize("c1, c2", [(0.011, 0.011), (0.011, 0.0), (0.011, -0.001), (0.001, 0.011), (-0.011, -0.02)])
+    def test_bad_period_rejected_by_both_entry_points(self, c1, c2):
+        with pytest.raises(ValueError, match="0 < c2 < c1"):
+            parse_pair("quadratic", f"switching:c1={c1!r},c2={c2!r}", 1.0, 0.01)
+        with pytest.raises(ValueError, match="0 < c2 < c1"):
+            switching_noise(1.0, 0.01, c1, c2)
+
 
 def quadratic_signal(t, L, sign):
     """(f, fdot, fddot) at t of the `quadratic` signal built by parse_pair."""
