@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import harness, lyapunov, params, signals
-from .differentiator import StepScheme
+from .differentiator import EXPLICIT, IMPLICIT, StepScheme
 
 DEFAULTS = {
     "lambda1": 4.1,
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise = argparse.ArgumentParser(add_help=False)
     noise.add_argument("--N", type=float, default=DEFAULTS["N"], help="noise amplitude bound")
     step = argparse.ArgumentParser(add_help=False)
-    step.add_argument("--scheme", choices=("implicit", "explicit"), default="implicit")
+    step.add_argument("--scheme", choices=(IMPLICIT, EXPLICIT), default=IMPLICIT)
     step.add_argument("--dt", type=float, default=DEFAULTS["dt"])
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="CSV path; the summary then goes to stdout")
@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=0.5, help="summary window start")
     sp.add_argument(
         "--signal",
-        default="quadratic:sign=-1",
-        help="signal spec, e.g. quadratic:L=1,sign=-1 (L defaults to --L)",
+        default="quadratic",
+        help="signal spec, e.g. quadratic:L=1,sign=-1 (L defaults to --L, sign to -1)",
     )
     sp.add_argument(
         "--noise",

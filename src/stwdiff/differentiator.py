@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import Params
+from .params import Params, check_positive_finite
 
 EXPLICIT = "explicit"
 IMPLICIT = "implicit"
@@ -52,8 +52,7 @@ class StepScheme:
     def __post_init__(self):
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_positive_finite("dt", self.dt)
 
 
 def init(u0: float) -> DiffState:

@@ -21,7 +21,7 @@ import numpy as np
 from . import differentiator as stw
 from .lyapunov import ErrorState, GridSpec, evaluate_grid
 from .params import NoiseLevel, Params, error_lower_bound, error_upper_bound
-from .signals import SignalPair, TimeFn
+from .signals import SignalPair, TimeFn, sample_each
 
 TRAJECTORY_COLUMNS = ("t", "u", "f", "fdot", "y1", "y2", "error", "V")
 
@@ -115,22 +115,12 @@ def _integrate(cfg: SimConfig, us: np.ndarray, y1: float, y2: float) -> tuple[np
 def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
     """Run the differentiator on u = f + eta from the standard initialization.
 
-    The inputs come from `pair.sample` over the whole time grid when the pair
-    has it, and from its scalar evaluators one sample at a time otherwise.
+    The inputs come from one call of `pair.sample` over the whole time grid.
     """
     dt = cfg.scheme.dt
-    n = cfg.steps
-    ts = np.arange(n + 1) * dt
-
-    if pair.sample is not None:
-        fs, fds, etas = pair.sample(ts)
-        us = fs + etas
-    else:
-        f, eta, fdot = pair.f, pair.eta, pair.fdot
-        fs = np.fromiter((f(t) for t in ts), dtype=float, count=n + 1)
-        us = np.fromiter((fs[k] + eta(ts[k]) for k in range(n + 1)), dtype=float, count=n + 1)
-        fds = np.fromiter((fdot(t) for t in ts), dtype=float, count=n + 1)
-
+    ts = np.arange(cfg.steps + 1) * dt
+    fs, fds, etas = pair.sample(ts)
+    us = fs + etas
     y1s, y2s = _integrate(cfg, us, float(us[0]), 0.0)
     return _finalize(ts, us, fs, fds, y1s, y2s, cfg.params, dt)
 
@@ -156,8 +146,7 @@ def simulate_error_system(
     n = cfg.steps
     ts = np.arange(n + 1) * dt
 
-    ets = np.fromiter((eta(t) for t in ts), dtype=float, count=n + 1)
-    gts = np.fromiter((fddot(t) for t in ts), dtype=float, count=n + 1)
+    ets, gts = sample_each(eta, ts), sample_each(fddot, ts)
     read = _STEP_INPUTS[cfg.scheme.kind]
     x1s, x2s = np.empty(n + 1), np.empty(n + 1)
     x1s[0], x2s[0] = (ets[0], 0.0) if x0 is None else (x0.x1, x0.x2)

@@ -19,6 +19,12 @@ def check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the tightness parameter alpha lies in (1, 4]."""
+    if not 1.0 < alpha <= 4.0:
+        raise ValueError(f"alpha must lie in (1, 4], got {alpha}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Differentiator gains lambda1, lambda2, curvature bound L, and alpha.
@@ -36,8 +42,7 @@ class Params:
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "L"):
             check_positive_finite(name, getattr(self, name))
-        if not 1.0 < self.alpha <= 4.0:
-            raise ValueError(f"alpha must lie in (1, 4], got {self.alpha}")
+        check_alpha(self.alpha)
 
     @cached_property
     def injection_gains(self) -> tuple[float, float]:
@@ -87,8 +92,7 @@ def lambda2_min(alpha: float) -> float:
     >= 1 on (1, 4], with equality only at alpha = 4, and diverging as
     alpha -> 1.
     """
-    if not 1.0 < alpha <= 4.0:
-        raise ValueError(f"alpha must lie in (1, 4], got {alpha}")
+    check_alpha(alpha)
     s = math.sqrt(alpha)
     return (1.0 + 2.0 * s - alpha) / (1.0 - 2.0 * s + alpha)
 
@@ -102,8 +106,7 @@ def lambda1_range(lambda2: float, alpha: float) -> GainInterval:
     is empty exactly when lambda2 <= lambda2_min(alpha).
     """
     check_positive_finite("lambda2", lambda2)
-    if not 1.0 < alpha <= 4.0:
-        raise ValueError(f"alpha must lie in (1, 4], got {alpha}")
+    check_alpha(alpha)
     lam2p1 = lambda2 + 1.0
     lo = math.sqrt(8.0 * lam2p1)
     hi = ((alpha + 1.0) * lambda2 + alpha - 1.0) * math.sqrt(2.0 * lam2p1 / alpha) / lam2p1

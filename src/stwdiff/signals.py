@@ -2,9 +2,9 @@
 
 Signals are pure time evaluators (closures over their constants) rather
 than sampled arrays, so simulation schemes can probe them at arbitrary
-times and runs stay bit-reproducible.  The built-in pairs also carry an
-array form, `sample`, that evaluates (f, fdot, eta) over a whole time grid
-with the same floating-point operations as the scalar closures.
+times and runs stay bit-reproducible.  Every pair also has an array form,
+`sample`, that evaluates (f, fdot, eta) over a whole time grid; it is the
+one way the rest of the package evaluates a pair over a grid.
 
 Provided pairs:
   * quadratic signal +-L t^2 / 2 with the square-wave switching noise,
@@ -30,14 +30,19 @@ GridFn = Callable[[np.ndarray], np.ndarray]
 SampleFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+def sample_each(fn: TimeFn, ts: np.ndarray) -> np.ndarray:
+    """The scalar evaluator `fn` at every time of `ts`, one Python float at a time."""
+    return np.fromiter(map(fn, map(float, ts)), dtype=float, count=ts.size)
+
+
 @dataclass
 class SignalPair:
     """A concrete (f, eta) realization with certified bounds.
 
     `fddot` may be None for externally supplied signals; membership checks
-    then fall back to second differences.  `sample`, when set, maps an array
-    of nonnegative times to the arrays (f, fdot, eta) and must agree bit for
-    bit with the scalar evaluators; `simulate` uses it in place of them.
+    then fall back to second differences.  `sample(ts)` gives the arrays
+    (f, fdot, eta), bit for bit the scalar evaluators' values; by default it
+    calls the pair's current `f`, `fdot` and `eta` at each time.
     """
 
     f: TimeFn
@@ -50,25 +55,38 @@ class SignalPair:
     degenerate: bool = False
     sample: Optional[SampleFn] = None
 
+    def __post_init__(self):
+        # A copy made by dataclasses.replace samples its own evaluators, not the original's.
+        if self.sample is None or getattr(self.sample, "__func__", None) is SignalPair._sample_each:
+            self.sample = self._sample_each
+
+    def _sample_each(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(sample_each(fn, ts) for fn in (self.f, self.fdot, self.eta))
+
     def u(self, t: float) -> float:
         """Measured input f(t) + eta(t)."""
         return self.f(t) + self.eta(t)
 
 
-def _switching(N: float, c1: float, c2: float) -> TimeFn:
-    """`switching_noise` as a function of time; checks 0 < c2 < c1 once."""
+def _switching(N: float, c1: float, c2: float) -> tuple[TimeFn, GridFn]:
+    """Scalar and array forms of `switching_noise` on finite t >= 0; checks 0 < c2 < c1 once."""
     if not 0.0 < c2 < c1:
         raise ValueError(f"switching noise needs 0 < c2 < c1, got c1={c1}, c2={c2}")
     start = 10.0 * c1
+    domain = "noise defined for finite t >= 0, got {}"
 
+    # Plain floats, no numpy: this form runs once per sample on the online path.
     def eta(t: float) -> float:
         if t < 0.0:
-            raise ValueError(f"noise defined for t >= 0, got {t}")
+            raise ValueError(domain.format(t))
         if t < start:
             return -N
         # Compensated remainder: floor in double precision can round either way
         # at period boundaries, so fold the result back into [0, c1).
-        s = t - c1 * math.floor(t / c1)
+        try:
+            s = t - c1 * math.floor(t / c1)
+        except (OverflowError, ValueError):  # t / c1 is inf or NaN
+            raise ValueError(domain.format(t)) from None
         if s < 0.0:
             s += c1
         elif s >= c1:
@@ -79,7 +97,18 @@ def _switching(N: float, c1: float, c2: float) -> TimeFn:
             return -N
         return 0.0
 
-    return eta
+    def grid(ts: np.ndarray) -> np.ndarray:
+        q = ts / c1
+        bad = ts[~(np.isfinite(q) & (ts >= 0.0))]
+        if bad.size:
+            raise ValueError(domain.format(bad[0]))
+        s = ts - c1 * np.floor(q)
+        s = np.where(s < 0.0, s + c1, np.where(s >= c1, s - c1, s))
+        out = np.where(s < c2, N, np.where(s > c2, -N, 0.0))
+        out[ts < start] = -N
+        return out
+
+    return eta, grid
 
 
 def switching_noise(t: float, N: float, c1: float, c2: float) -> float:
@@ -89,18 +118,7 @@ def switching_noise(t: float, N: float, c1: float, c2: float) -> float:
     the remainder at -N; exactly at the switch instant the value is 0
     (measure zero, irrelevant for admissibility).
     """
-    return _switching(N, c1, c2)(t)
-
-
-def _switching_noise_grid(ts: np.ndarray, N: float, c1: float, c2: float) -> np.ndarray:
-    """`switching_noise` over an array of times, value for value."""
-    if ts.size and not ts.min() >= 0.0:
-        raise ValueError(f"noise defined for t >= 0, got {ts.min()}")
-    s = ts - c1 * np.floor(ts / c1)
-    s = np.where(s < 0.0, s + c1, np.where(s >= c1, s - c1, s))
-    eta = np.where(s < c2, N, np.where(s > c2, -N, 0.0))
-    eta[ts < 10.0 * c1] = -N
-    return eta
+    return _switching(N, c1, c2)[0](t)
 
 
 @dataclass(frozen=True)
@@ -127,12 +145,9 @@ class WorstCaseSpec:
             raise ValueError(f"construction requires tau > theta = {theta:.6g}, got tau={self.tau}")
 
 
-def _ramp(spec: WorstCaseSpec, t: float) -> tuple[float, float, float]:
-    t0 = spec.tau - spec.theta
-    if t < t0:
-        return 0.0, 0.0, 0.0
-    dt = t - t0
-    return spec.L * dt * dt / 2.0, spec.L * dt, spec.L
+def _ramp(L, d):
+    """(f, fdot) = (L d^2 / 2, L d) a time d >= 0 after the ramp start; d is a float or an array."""
+    return L * d * d / 2.0, L * d
 
 
 def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
@@ -145,35 +160,31 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
     f = L t^2 / 2, eta = N is returned instead.  N = 0 degenerates to the
     plain ramp; the pair is flagged.
     """
+    L, N = spec.L, spec.N
     if spec.lambda2 < 1.0:
-        L, N = spec.L, spec.N
-        eta, eta_grid = _constant_noise(N)
         desc = f"divergence pair for lambda2 < 1 (L={L}, N={N}): error grows without bound"
-        return _quadratic_pair(L, 1.0, eta, eta_grid, N, desc)
+        return _quadratic_pair(L, 1.0, _constant_noise(N), N, desc)
 
     lam2p1 = spec.lambda2 + 1.0
     t0 = spec.tau - spec.theta
 
     def f(t: float) -> float:
-        return _ramp(spec, t)[0]
+        return _ramp(L, max(t - t0, 0.0))[0]
 
     def fdot(t: float) -> float:
-        return _ramp(spec, t)[1]
+        return _ramp(L, max(t - t0, 0.0))[1]
 
     def fddot(t: float) -> float:
-        return _ramp(spec, t)[2]
+        return 0.0 if t < t0 else L
 
     def eta(t: float) -> float:
-        return max(-spec.N, spec.N - lam2p1 * _ramp(spec, t)[0])
+        return max(-N, N - lam2p1 * f(t))
 
     def sample(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _ramp and max(-N, .) over the grid, one ramp evaluation per time.
-        # np.where mirrors max exactly; np.maximum would propagate a NaN.
-        d = ts - t0
-        before = ts < t0
-        fv = np.where(before, 0.0, spec.L * d * d / 2.0)
-        x = spec.N - lam2p1 * fv
-        return fv, np.where(before, 0.0, spec.L * d), np.where(x > -spec.N, x, -spec.N)
+        fv, fd = _ramp(L, np.maximum(ts - t0, 0.0))
+        x = N - lam2p1 * fv
+        # np.where mirrors max(-N, x) exactly; np.maximum would propagate a NaN.
+        return fv, fd, np.where(x > -N, x, -N)
 
     degenerate = spec.N == 0.0
     desc = (
@@ -187,8 +198,8 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
         fdot=fdot,
         fddot=fddot,
         eta=eta,
-        L_cert=spec.L,
-        N_cert=spec.N,
+        L_cert=L,
+        N_cert=N,
         description=desc,
         degenerate=degenerate,
         sample=sample,
@@ -204,36 +215,29 @@ def sliding_reference(spec: WorstCaseSpec, t: float) -> DiffState:
         raise ValueError("sliding reference exists only for lambda2 >= 1")
     if t > spec.tau:
         raise ValueError(f"sliding reference valid only up to tau={spec.tau}, got t={t}")
-    fv, fd, _ = _ramp(spec, t)
+    fv, fd = _ramp(spec.L, max(t - (spec.tau - spec.theta), 0.0))
     return DiffState(spec.N - spec.lambda2 * fv, -spec.lambda2 * fd)
 
 
 def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
     """Densely verify |eta| <= N_cert and |fddot| <= L_cert over [0, horizon].
 
-    Uses the analytic second derivative when the pair carries one,
-    otherwise central second differences with the boundary samples
-    excluded.  Tolerance 1e-9 * max(N_cert, L_cert).
+    Samples the pair at t_k = k h; uses the analytic second derivative when
+    the pair carries one, otherwise central second differences of the sampled
+    f without the boundary samples.  Tolerance 1e-9 * max(N_cert, L_cert).
     """
     check_positive_finite("horizon", horizon)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     tol = 1e-9 * max(pair.N_cert, pair.L_cert)
     h = horizon / (samples - 1)
-    ts = [k * h for k in range(samples)]
-    for t in ts:
-        if abs(pair.eta(t)) > pair.N_cert + tol:
-            return False
+    ts = np.arange(samples) * h
+    fs, _, etas = pair.sample(ts)
     if pair.fddot is not None:
-        for t in ts:
-            if abs(pair.fddot(t)) > pair.L_cert + tol:
-                return False
+        fdds = sample_each(pair.fddot, ts)
     else:
-        for t in ts[1:-1]:
-            dd = (pair.f(t + h) - 2.0 * pair.f(t) + pair.f(t - h)) / (h * h)
-            if abs(dd) > pair.L_cert + tol:
-                return False
-    return True
+        fdds = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / (h * h)
+    return not (np.any(np.abs(etas) > pair.N_cert + tol) or np.any(np.abs(fdds) > pair.L_cert + tol))
 
 
 # Keys of each spec kind and their defaults; None stands for the default_L or
@@ -280,13 +284,16 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
       noise:   switching:N=...,c1=...,c2=...  |  constant:N=...  |  none
       either:  worstcase:tau=...,lambda2=...,N=...,L=...
     Missing L / N fall back to the supplied defaults; a key the kind does
-    not take raises ValueError.
+    not take raises ValueError, as do sign, c1 and c2 next to a worstcase spec.
     """
     sig_name, sig_kv = _split_spec(signal_spec, "signal", ("quadratic", "worstcase"))
     noi_name, noi_kv = _split_spec(noise_spec, "noise", ("switching", "constant", "none", "worstcase"))
     fallback = {"L": default_L, "N": default_N}
 
     def values(kind: str, given: dict[str, float]) -> dict[str, float]:
+        unused = [key for key in given if key not in _SPEC_KEYS[kind]]
+        if unused:  # only where a worstcase spec meets the other spec's keys
+            raise ValueError(f"a {kind} pair takes no {', '.join(unused)} (only {', '.join(_SPEC_KEYS[kind])})")
         return {k: given.get(k, fallback[k] if d is None else d) for k, d in _SPEC_KEYS[kind].items()}
 
     if "worstcase" in (sig_name, noi_name):
@@ -298,20 +305,16 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
         raise ValueError(f"quadratic sign must be +1 or -1, got {sgn}")
 
     noi = values(noi_name, noi_kv)
+    N = noi.get("N", 0.0)  # "none" takes no N
     if noi_name == "switching":
-        N, c1, c2 = noi["N"], noi["c1"], noi["c2"]
-        eta = _switching(N, c1, c2)
-        eta_grid = lambda ts: _switching_noise_grid(ts, N, c1, c2)
-        n_cert = abs(N)
-        noise_desc = f"switching noise N={N}, c1={c1}, c2={c2}"
+        noise = _switching(N, noi["c1"], noi["c2"])
+        noise_desc = f"switching noise N={N}, c1={noi['c1']}, c2={noi['c2']}"
     else:
-        value = noi.get("N", 0.0)  # "none" takes no N
-        eta, eta_grid = _constant_noise(value)
-        n_cert = abs(value)
-        noise_desc = "no noise" if noi_name == "none" else f"constant noise {value}"
+        noise = _constant_noise(N)
+        noise_desc = "no noise" if noi_name == "none" else f"constant noise {N}"
 
     desc = f"quadratic signal sign={sgn:+.0f}, L={L}; {noise_desc}"
-    return _quadratic_pair(L, sgn, eta, eta_grid, n_cert, desc)
+    return _quadratic_pair(L, sgn, noise, abs(N), desc)
 
 
 def _constant_noise(value: float) -> tuple[TimeFn, GridFn]:
@@ -319,8 +322,8 @@ def _constant_noise(value: float) -> tuple[TimeFn, GridFn]:
     return (lambda t: value), (lambda ts: np.full(ts.shape, value, dtype=float))
 
 
-def _quadratic_pair(L: float, sgn: float, eta: TimeFn, eta_grid: GridFn, n_cert: float, description: str) -> SignalPair:
-    """Signal sgn * L t^2 / 2 under the noise `eta`, whose array form is `eta_grid`."""
+def _quadratic_pair(L: float, sgn: float, noise: tuple[TimeFn, GridFn], n_cert: float, description: str) -> SignalPair:
+    """Signal sgn * L t^2 / 2 under `noise` = (eta, eta_grid); `f` and `fdot` also take arrays."""
 
     def f(t: float) -> float:
         return sgn * L * t * t / 2.0
@@ -332,13 +335,13 @@ def _quadratic_pair(L: float, sgn: float, eta: TimeFn, eta_grid: GridFn, n_cert:
         return sgn * L
 
     def sample(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return sgn * L * ts * ts / 2.0, sgn * L * ts, eta_grid(ts)
+        return f(ts), fdot(ts), noise[1](ts)
 
     return SignalPair(
         f=f,
         fdot=fdot,
         fddot=fddot,
-        eta=eta,
+        eta=noise[0],
         L_cert=abs(L),
         N_cert=n_cert,
         description=description,

@@ -327,6 +327,17 @@ def test_unknown_spec_key_exits_two(capsys, flag, spec):
     assert "unknown" in err and "key" in err
 
 
+@pytest.mark.parametrize(
+    "signal, noise",
+    [("quadratic:sign=1", "worstcase:tau=0.08,N=0.001"), ("worstcase:tau=1", "switching:c1=0.02,c2=0.001")],
+)
+def test_keys_a_worstcase_pair_would_drop_exit_two(capsys, signal, noise):
+    argv = ["simulate", "--horizon", "0.01", "--tau", "0", "--signal", signal, "--noise", noise]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a worstcase pair takes no ")
+
+
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 SIM = "fa3e50b5f8916e19d9037c186beb01d5637d9c95b3372da2682f78f5c0c57276"
 SIM_SUMMARY = "958cea956e8fa2833694e39b12c78aa5c6530295398c1a49988fc921d2288236"
@@ -350,12 +361,77 @@ WC_SUMMARY = "5be4883ecafbe3167573f47c243687059abcbc1f5ac850055c62eace09319e57"
         (["verify-lyapunov", "--out"], 0, VL_SUMMARY, EMPTY, VL),
         (["contour", "--out"], 0, EMPTY, EMPTY, CONTOUR),
         (["worst-case", "--out"], 0, WC_SUMMARY, EMPTY, "f2ea36f7b6f20403c643acc927aba35da7a53f73958901415fc5b5c25f998ed7"),
+        (
+            ["simulate", "--scheme", "explicit", "--out"],
+            0,
+            "16bc6fd85850d966727186b95ffcd104f0155c810830e77ae4a6e83df01fe8f0",
+            EMPTY,
+            "721f5be0030b2b842459f27b7dc9b8307aa53c10ebda0be2bfd15d033dc50b4d",
+        ),
+        (
+            ["simulate", "--L", "2.7", "--scheme", "explicit", "--signal", "quadratic:sign=1", "--out"],
+            0,
+            "238d6b9f549b77f694e66df94e739fb5e1d0f3b8d9f119c46a691ff09986a037",
+            EMPTY,
+            "491c1e94767e3ef1f42594d80fabd897aeaadc398e133b6a5cc8318a4b936770",
+        ),
+        (
+            ["simulate", "--noise", "none", "--out"],
+            0,
+            "989acf394d0e9a81d715c9af5044211a7ee48e4f9bc9a1cbc952148d8332bb17",
+            EMPTY,
+            "07c9532c8a022e5cb162c214bcfaa758f20280024e6b67495828dbeddc54a128",
+        ),
+        (
+            ["simulate", "--noise", "constant:N=-0.02", "--out"],
+            0,
+            "3757322d1a3d98a28ed9987061b896fe4dfbf27f79a6b62736f8658b42fd08d3",
+            EMPTY,
+            "3d68d08a026359b7c3097a204651e03984deea9724e0153547c043dd0f0e9158",
+        ),
+        (
+            ["simulate", "--noise", "worstcase:tau=1", "--out"],
+            0,
+            "ef112c0ac9b8197b4cd6de07c8962b5e82fe14aa88d7c19e38182541a6a2d42f",
+            EMPTY,
+            "071c8d7e2f575404430f7e35d0ff5be92ee5fcbdc715af5d90bd6c99ab7efec8",
+        ),
+        (
+            ["simulate", "--signal", "worstcase:tau=0.5,lambda2=0.9", "--out"],
+            0,
+            "95ba786060fbacb811d5ecdb04e015e9437406ec38c26896d1348de9c6395cea",
+            EMPTY,
+            "a64f17b3c34657a82b3ada25ed544914af897d1bce4c0b77238542d8d6fbc9e9",
+        ),
+        (
+            ["worst-case", "--N", "0", "--out"],
+            0,
+            "ee41fb3fa45d5ade3edd211c9cd882635ce834008f02a91eb88dfee300f1a305",
+            EMPTY,
+            "f401cd16ebfd86fad56634b29cd3e73ac44a88efc4c28d5a48de6f9379c0ba03",
+        ),
+        (
+            ["worst-case", "--lambda2", "0.5", "--out"],
+            0,
+            "f66177b3afe0dddbfd5e89847f4627adee8379db7b6ca80940d4b9b38bbbda02",
+            EMPTY,
+            "f60df357726b2aa1d1b8f4aa614017471e93ac029a8e4b12f87125a00292d55a",
+        ),
+        (
+            ["worst-case", "--scheme", "explicit", "--dt", "1e-4", "--tau", "2", "--out"],
+            0,
+            "875430e58d89859d672598b5ed5ded52b990c66791c30ab89022d80b5cec8c91",
+            EMPTY,
+            "d95d4acd484155e3eb85cdd1414fa353c9fe9b3eb551a3c462fd66b1c33bfe2b",
+        ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_default_output_bytes_are_pinned(capsys, tmp_path, argv, code, out, err, csv):
     # sha256 of stdout, stderr and the --out file for every subcommand at its
-    # defaults: the summary goes to stderr exactly when the CSV is on stdout.
+    # defaults, and for the non-default signal, noise and scheme runs that
+    # sample a pair over the time grid: the summary goes to stderr exactly
+    # when the CSV is on stdout.
     path = tmp_path / "out.csv"
     got = run_cli(capsys, argv + [str(path)] if csv else argv)
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()

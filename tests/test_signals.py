@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stwdiff import (
     SignalPair,
@@ -65,6 +68,21 @@ class TestSwitchingNoise:
         eta = parse_pair("quadratic", "switching", 1.0, 0.01).eta
         with pytest.raises(ValueError, match="t >= 0"):
             eta(-1e-9)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -1e-9, -5.0])
+    def test_time_outside_domain_rejected_alike_by_every_entry_point(self, t):
+        # The scalar form used to raise OverflowError at inf (and math.floor's
+        # message at NaN) while the array form returned 0.0 with a warning.
+        pair = parse_pair("quadratic", "switching", 1.0, 0.01)
+        calls = (
+            lambda: switching_noise(t, 0.01, 0.011, 0.00149),
+            lambda: pair.eta(t),
+            lambda: pair.sample(np.array([0.0, 0.5, t, 1.0])),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"noise defined for finite t >= 0, got {t}"
 
     @pytest.mark.parametrize("c1, c2", [(0.011, 0.011), (0.011, 0.0), (0.011, -0.001), (0.001, 0.011), (-0.011, -0.02)])
     def test_bad_period_rejected_by_both_entry_points(self, c1, c2):
@@ -257,10 +275,26 @@ class TestParsePair:
     def test_keys_checked_against_their_own_kind(self):
         # Each spec is checked against its own kind; a worst-case pair takes
         # its tau, lambda2, N and L from either spec, as before.
-        pair = parse_pair("quadratic:L=2,sign=1", "worstcase:tau=2,lambda2=1.5,n=0.04", 1.0, 0.01)
+        pair = parse_pair("quadratic:L=2", "worstcase:tau=2,lambda2=1.5,n=0.04", 1.0, 0.01)
         assert (pair.L_cert, pair.N_cert) == (2.0, 0.04)
-        pair = parse_pair("worstcase:tau=2", "switching:N=0.03,c1=0.02,c2=0.001", 1.0, 0.01)
+        pair = parse_pair("worstcase:tau=2", "switching:N=0.03", 1.0, 0.01)
         assert pair.N_cert == 0.03
+
+    @pytest.mark.parametrize(
+        "signal, noise, key",
+        [
+            ("quadratic:L=2,sign=1", "worstcase:tau=2,lambda2=1.5,n=0.04", "sign"),
+            ("quadratic:sign=-1", "worstcase:tau=1", "sign"),
+            ("worstcase:tau=2", "switching:N=0.03,c1=0.02,c2=0.001", "c1, c2"),
+            ("worstcase:tau=2", "switching:c2=0.001", "c2"),
+            ("quadratic:sign=1", "worstcase", "sign"),
+        ],
+    )
+    def test_other_spec_keys_next_to_worstcase_rejected(self, signal, noise, key):
+        # The worst-case pair has its own signal and noise, so the other spec's
+        # sign, c1 and c2 would be dropped: they raise instead.
+        with pytest.raises(ValueError, match=f"worstcase pair takes no {key} "):
+            parse_pair(signal, noise, 1.0, 0.01)
 
     def test_lower_case_aliases_and_defaults(self):
         pair = parse_pair("quadratic:l=3,sign=1", "constant:n=0.5", 1.0, 0.01)
@@ -337,4 +371,81 @@ class TestArraySampling:
     def test_divergence_pair(self):
         pair = worst_case_pair(WorstCaseSpec(tau=1.0, lambda2=0.9, N=0.01, L=2.0))
         ts = np.linspace(0.0, 7.0, 2001)
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+
+    def test_custom_pair_gets_a_sampler_that_follows_its_evaluators(self):
+        pair = SignalPair(math.sin, math.cos, None, lambda t: 0.01 * math.cos(7.0 * t), 1.0, 0.01, "sine")
+        ts = np.linspace(0.0, 6.0, 601)
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+        pair.f = math.atan  # evaluators stay settable; the sampler reads them per call
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+        # A copy samples its own evaluators, not those of the pair it was made from.
+        copy = dataclasses.replace(pair, f=math.tanh, eta=math.sin)
+        assert_same_bits(copy.sample(ts), scalar_columns(copy, ts))
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+
+
+# Derandomized: the same examples on every run, and nothing written to disk.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def with_neighbours(ts):
+    """`ts` with the float just below (kept if >= 0) and just above each time."""
+    ts = np.asarray(ts, dtype=float)
+    below = np.nextafter(ts, -np.inf)
+    return np.concatenate([ts, below[below >= 0.0], np.nextafter(ts, np.inf)])
+
+
+class TestSampleProperties:
+    """Over the admissible constants, every `sample` equals its pair's scalar evaluators bit for bit."""
+
+    @PROPERTY
+    @given(
+        L=finite(1e-3, 1e3),
+        sign=st.sampled_from([-1, 1]),
+        N=finite(0.0, 10.0),
+        c1=finite(1e-4, 1.0),
+        duty=finite(0.01, 0.99),
+        noise=st.sampled_from(["switching", "constant", "none"]),
+        fractions=st.lists(finite(0.0, 1.0), max_size=50),
+    )
+    def test_quadratic_pairs(self, L, sign, N, c1, duty, noise, fractions):
+        c2 = c1 * duty
+        spec = {"switching": f"switching:N={N!r},c1={c1!r},c2={c2!r}", "constant": f"constant:N={-N!r}", "none": "none"}
+        pair = parse_pair(f"quadratic:L={L!r},sign={sign}", spec[noise], 1.0, 0.01)
+        k = np.arange(40)
+        ts = with_neighbours(np.concatenate([k * c1, k * c1 + c2, [10.0 * c1], 40 * c1 * np.array(fractions)]))
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+
+    @PROPERTY
+    @given(
+        lambda2=finite(1.0, 10.0),
+        N=finite(0.0, 1.0),
+        L=finite(1e-2, 1e2),
+        extra=finite(1e-3, 5.0),
+        fractions=st.lists(finite(0.0, 1.0), max_size=50),
+    )
+    def test_worst_case_ramps(self, lambda2, N, L, extra, fractions):
+        theta = 2.0 * math.sqrt(N / ((lambda2 + 1.0) * L))
+        spec = WorstCaseSpec(tau=theta + extra, lambda2=lambda2, N=N, L=L)
+        pair = worst_case_pair(spec)
+        t0 = spec.tau - spec.theta
+        ts = with_neighbours(np.concatenate([[0.0, t0, spec.tau], 2.0 * spec.tau * np.array(fractions)]))
+        assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+
+    @PROPERTY
+    @given(
+        lambda2=finite(0.01, 0.99),
+        N=finite(0.0, 1.0),
+        L=finite(1e-2, 1e2),
+        tau=finite(0.1, 5.0),
+        fractions=st.lists(finite(0.0, 1.0), max_size=50),
+    )
+    def test_divergence_pairs(self, lambda2, N, L, tau, fractions):
+        pair = worst_case_pair(WorstCaseSpec(tau=tau, lambda2=lambda2, N=N, L=L))
+        ts = with_neighbours(np.concatenate([[0.0, tau], 10.0 * np.array(fractions)]))
         assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
