@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,6 @@ from . import differentiator as stw
 from .lyapunov import ErrorState, GridSpec, evaluate_grid
 from .params import NoiseLevel, Params, error_lower_bound, error_upper_bound
 from .signals import SignalPair, TimeFn, sample_each
-
-TRAJECTORY_COLUMNS = ("t", "u", "f", "fdot", "y1", "y2", "error", "V")
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Uniformly sampled run: per-sample input, reference, state, error, and V."""
+    """Uniformly sampled run: per-sample input, reference, state, error and V; `dt` is t[1] - t[0]."""
 
     t: np.ndarray
     u: np.ndarray
@@ -58,7 +56,13 @@ class TrajectoryRecord:
     y2: np.ndarray
     error: np.ndarray
     V: np.ndarray
-    dt: float
+
+    @property
+    def dt(self) -> float:
+        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
+
+
+TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 
 
 @dataclass
@@ -87,10 +91,10 @@ class InvarianceReport:
         return self.ok
 
 
-def _finalize(ts, us, fs, fds, y1s, y2s, p: Params, dt: float) -> TrajectoryRecord:
+def _finalize(ts, us, fs, fds, y1s, y2s, p: Params) -> TrajectoryRecord:
     error = y2s - fds
     V = evaluate_grid(y1s - fs, error, p)
-    return TrajectoryRecord(t=ts, u=us, f=fs, fdot=fds, y1=y1s, y2=y2s, error=error, V=V, dt=dt)
+    return TrajectoryRecord(t=ts, u=us, f=fs, fdot=fds, y1=y1s, y2=y2s, error=error, V=V)
 
 
 # Step k reads sample k + 1 (implicit) or sample k (explicit).
@@ -117,12 +121,11 @@ def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
 
     The inputs come from one call of `pair.sample` over the whole time grid.
     """
-    dt = cfg.scheme.dt
-    ts = np.arange(cfg.steps + 1) * dt
+    ts = np.arange(cfg.steps + 1) * cfg.scheme.dt
     fs, fds, etas = pair.sample(ts)
     us = fs + etas
     y1s, y2s = _integrate(cfg, us, float(us[0]), 0.0)
-    return _finalize(ts, us, fs, fds, y1s, y2s, cfg.params, dt)
+    return _finalize(ts, us, fs, fds, y1s, y2s, cfg.params)
 
 
 def simulate_error_system(
@@ -158,7 +161,7 @@ def simulate_error_system(
         x1s[lo:hi] = y1s - fs
         x2s[lo:hi] = y2s - fds
     zeros = np.zeros(n + 1)
-    return _finalize(ts, ets, zeros, zeros, x1s, x2s, cfg.params, dt)
+    return _finalize(ts, ets, zeros, zeros, x1s, x2s, cfg.params)
 
 
 def error_summary(
@@ -280,9 +283,7 @@ def read_trajectory_csv(fileobj) -> TrajectoryRecord:
             raise ValueError(f"malformed trajectory CSV: {exc}") from exc
     if arr.shape[1] != len(TRAJECTORY_COLUMNS):
         raise ValueError("malformed trajectory CSV")
-    cols = {name: arr[:, i] for i, name in enumerate(TRAJECTORY_COLUMNS)}
-    dt = float(cols["t"][1] - cols["t"][0]) if cols["t"].size > 1 else 0.0
-    return TrajectoryRecord(dt=dt, **cols)
+    return TrajectoryRecord(*arr.T)
 
 
 def write_contour_csv(fileobj, x1s: np.ndarray, x2s: np.ndarray, V: np.ndarray) -> None:

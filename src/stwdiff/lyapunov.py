@@ -25,7 +25,7 @@ from .params import NoiseLevel, Params, error_upper_bound
 W1, W2, W3 = "W1", "W2", "W3"
 
 # States per certifier block; peak memory scales with this, not with the grid.
-_BLOCK_STATES = 1 << 16
+_BLOCK_STATES = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,12 +211,13 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params):
     be mirrored disturbances.  Yields one (W1, W2, W3) triple per fddot;
     the terms that do not depend on fddot are computed once.
     """
+    k1, k2 = p.injection_gains
     lam2p1L = (p.lambda2 + 1.0) * p.L
     arg = z1 - eta
     sign = np.sign(arg)
-    dz1 = -p.lambda1 * math.sqrt(p.L) * sign * np.sqrt(np.abs(arg)) + z2
+    dz1 = -k1 * sign * np.sqrt(np.abs(arg)) + z2
     for fddot in fddots:
-        q = z2 * (-p.lambda2 * p.L * sign - fddot)
+        q = z2 * (-k2 * sign - fddot)
         yield q / (p.alpha * lam2p1L) - dz1, q / (2.0 * p.alpha * lam2p1L), dz1 - q / lam2p1L
 
 
@@ -300,18 +301,19 @@ def verify_decrease(
 
     Only states with V > N + margin are tested.  Each state is checked
     against the extreme disturbance corners (eta, fddot) in {-N, N} x {-L, L}
-    plus eta values straddling x1 inside the noise band, so both signs of
-    the discontinuous term are exercised (6 distinct samples per state in
-    the typical |x1| > N case, 8 near the band).  States within a small
-    band of a region threshold are checked against both adjacent branch
-    derivatives.  When `gamma` is omitted it is taken from
-    :func:`decay_rate_gamma`, which requires the gain condition to hold;
-    passing `gamma` explicitly skips that requirement (mutation probes).
-    Raises ValueError when `gamma`, `margin` or `tolerance` is not finite.
-    The grid is checked in blocks of whole rows (about 2**16 states), walked
-    in increasing grid index, so peak memory does not grow with the grid.
-    Each block orders and builds its own records, so the list is ordered by
-    grid index, then eta sample, then fddot (-L before L), with no global sort.
+    and two eta values straddling x1 inside the noise band, so both signs of
+    the discontinuous term are exercised.  Outside the band one straddling
+    eta is a corner (mirrored: the fourth slot is +N above the band, the
+    third -N below it), so a failing sample there is reported twice.
+    States near a region threshold are checked on both adjacent branches.
+    When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
+    which requires the gain condition to hold; passing `gamma` explicitly
+    skips that requirement (mutation probes).  Raises ValueError when
+    `gamma`, `margin` or `tolerance` is not finite.  The grid is checked in
+    blocks of whole rows (about 2**13 states), walked in increasing grid
+    index, so peak memory does not grow with the grid.  Each block orders
+    and builds its own records, so the list is ordered by grid index, then
+    eta sample, then fddot (-L before L), with no global sort.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma

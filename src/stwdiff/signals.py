@@ -40,9 +40,9 @@ class SignalPair:
     """A concrete (f, eta) realization with certified bounds.
 
     `fddot` may be None for externally supplied signals; membership checks
-    then fall back to second differences.  `sample(ts)` gives the arrays
-    (f, fdot, eta), bit for bit the scalar evaluators' values; by default it
-    calls the pair's current `f`, `fdot` and `eta` at each time.
+    then fall back to second differences.  `grid`, set by the built-in pairs,
+    is the array form of their own evaluators: it maps times to (f, fdot, eta)
+    bit for bit, so a pair whose evaluator is swapped needs `grid=None` too.
     """
 
     f: TimeFn
@@ -52,15 +52,12 @@ class SignalPair:
     L_cert: float
     N_cert: float
     description: str
-    degenerate: bool = False
-    sample: Optional[SampleFn] = None
+    grid: Optional[SampleFn] = None
 
-    def __post_init__(self):
-        # A copy made by dataclasses.replace samples its own evaluators, not the original's.
-        if self.sample is None or getattr(self.sample, "__func__", None) is SignalPair._sample_each:
-            self.sample = self._sample_each
-
-    def _sample_each(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (f, fdot, eta) at the times `ts`: `grid(ts)`, else the current evaluators at each time."""
+        if self.grid is not None:
+            return self.grid(ts)
         return tuple(sample_each(fn, ts) for fn in (self.f, self.fdot, self.eta))
 
     def u(self, t: float) -> float:
@@ -158,7 +155,7 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
     sliding trajectory up to tau, where the error reaches
     -2 sqrt((lambda2 + 1) N L).  For lambda2 < 1 the unbounded-error pair
     f = L t^2 / 2, eta = N is returned instead.  N = 0 degenerates to the
-    plain ramp; the pair is flagged.
+    plain ramp.
     """
     L, N = spec.L, spec.N
     if spec.lambda2 < 1.0:
@@ -180,19 +177,17 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
     def eta(t: float) -> float:
         return max(-N, N - lam2p1 * f(t))
 
-    def sample(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fv, fd = _ramp(L, np.maximum(ts - t0, 0.0))
         x = N - lam2p1 * fv
         # np.where mirrors max(-N, x) exactly; np.maximum would propagate a NaN.
         return fv, fd, np.where(x > -N, x, -N)
 
-    degenerate = spec.N == 0.0
     desc = (
         f"worst-case ramp pair (tau={spec.tau}, theta={spec.theta:.6g}, "
         f"lambda2={spec.lambda2}, N={spec.N}, L={spec.L})"
+        + (" [degenerate: N=0, zero-noise ramp]" if N == 0.0 else "")
     )
-    if degenerate:
-        desc += " [degenerate: N=0, zero-noise ramp]"
     return SignalPair(
         f=f,
         fdot=fdot,
@@ -201,8 +196,7 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
         L_cert=L,
         N_cert=N,
         description=desc,
-        degenerate=degenerate,
-        sample=sample,
+        grid=grid,
     )
 
 
@@ -222,9 +216,9 @@ def sliding_reference(spec: WorstCaseSpec, t: float) -> DiffState:
 def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
     """Densely verify |eta| <= N_cert and |fddot| <= L_cert over [0, horizon].
 
-    Samples the pair at t_k = k h; uses the analytic second derivative when
-    the pair carries one, otherwise central second differences of the sampled
-    f without the boundary samples.  Tolerance 1e-9 * max(N_cert, L_cert).
+    Samples the pair at t_k = k h, with the analytic fddot when the pair has
+    one, else central second differences of the inner f samples.  Tolerance
+    1e-9 * max(N_cert, L_cert); each bound is tested with `<=`, so NaN fails.
     """
     check_positive_finite("horizon", horizon)
     if samples < 2:
@@ -237,7 +231,7 @@ def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
         fdds = sample_each(pair.fddot, ts)
     else:
         fdds = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / (h * h)
-    return not (np.any(np.abs(etas) > pair.N_cert + tol) or np.any(np.abs(fdds) > pair.L_cert + tol))
+    return bool(np.all(np.abs(etas) <= pair.N_cert + tol) and np.all(np.abs(fdds) <= pair.L_cert + tol))
 
 
 # Keys of each spec kind and their defaults; None stands for the default_L or
@@ -334,7 +328,7 @@ def _quadratic_pair(L: float, sgn: float, noise: tuple[TimeFn, GridFn], n_cert: 
     def fddot(t: float) -> float:
         return sgn * L
 
-    def sample(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return f(ts), fdot(ts), noise[1](ts)
 
     return SignalPair(
@@ -345,5 +339,5 @@ def _quadratic_pair(L: float, sgn: float, noise: tuple[TimeFn, GridFn], n_cert: 
         L_cert=abs(L),
         N_cert=n_cert,
         description=description,
-        sample=sample,
+        grid=grid,
     )

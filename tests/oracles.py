@@ -132,6 +132,15 @@ def bisect_sigma(r: float, a: float, b: float, iters: int = 200) -> tuple[float,
     return math.copysign(m, r), math.copysign(1.0, r)
 
 
+def sigma_residual(r: float, a: float, b: float, sigma: float, xi: float) -> Decimal:
+    """sigma + a |sigma|^(1/2) sign(sigma) + b xi - r, exact to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        s, r, a, b, xi = dec(sigma, r, a, b, xi)
+        root = abs(s).sqrt()
+        return s + a * (-root if s < 0 else root) + b * xi - r
+
+
 def vdot_analytic(x: ErrorState, p: Params, eta: float, fddot: float) -> float:
     """Time derivative of V at x under disturbances (eta, fddot), per-region form.
 

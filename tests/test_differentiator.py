@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stwdiff import DiffState, Params, StepScheme, init, rhs, solve_sigma, step_explicit, step_implicit
@@ -224,3 +226,24 @@ class TestSolveSigma:
                 assert xi == xi_o
             else:
                 assert -1.0 <= xi <= 1.0
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+class TestSolveSigmaProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(r=finite(-1e3, 1e3), a=finite(1e-8, 1e3), b=finite(1e-12, 1e3), near=st.booleans(), gap=finite(0.0, 1e-6))
+    def test_residual_within_ulps_and_xi_in_sign_set(self, r, a, b, near, gap):
+        if near:  # just outside the deadzone |r| <= b, or on its edge
+            r = math.copysign(b * (1.0 + gap), r)
+        sigma, xi = solve_sigma(r, a, b)
+        if sigma != 0.0:
+            assert xi == math.copysign(1.0, sigma)
+        else:
+            assert -1.0 <= xi <= 1.0
+        # The closed form goes through a^2 + 4 (|r| - b), so its rounding is
+        # relative to a^2 as well as to |r| and b.
+        scale = max(abs(r), b, a * a)
+        assert abs(oracles.sigma_residual(r, a, b, sigma, xi)) <= 4 * math.ulp(scale)

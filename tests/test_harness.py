@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stwdiff import (
@@ -194,12 +196,32 @@ class TestSimulate:
         ids=["switching", "constant", "none", "ramp", "divergence"],
     )
     def test_array_sampling_matches_scalar_sampling(self, kind, pair):
-        # Without `sample`, simulate falls back to the scalar evaluators.
+        # Without `grid`, `sample` falls back to the scalar evaluators.
         cfg = SimConfig(StepScheme(kind, 1e-3), 0.5, P_REF, N_REF)
         rec = simulate(cfg, pair)
-        ref = simulate(cfg, dataclasses.replace(pair, sample=None))
+        ref = simulate(cfg, dataclasses.replace(pair, grid=None))
         for name in TRAJECTORY_COLUMNS:
             assert np.array_equal(getattr(rec, name).view(np.uint64), getattr(ref, name).view(np.uint64)), name
+
+
+class TestTrajectoryRecord:
+    def test_columns_are_the_record_fields(self):
+        assert TRAJECTORY_COLUMNS == tuple(f.name for f in dataclasses.fields(TrajectoryRecord))
+        assert TRAJECTORY_COLUMNS == ("t", "u", "f", "fdot", "y1", "y2", "error", "V")
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    @pytest.mark.parametrize("dt", [5e-4, 1e-5, 3e-3])
+    def test_dt_is_the_scheme_step_bit_for_bit(self, kind, dt):
+        cfg = SimConfig(StepScheme(kind, dt), 30 * dt, P_REF, N_REF)
+        for rec in (simulate(cfg, reference_pair()), simulate_error_system(cfg, lambda t: 0.01, lambda t: 1.0)):
+            buf = io.StringIO()
+            write_trajectory_csv(buf, rec)
+            buf.seek(0)
+            for got in (rec, read_trajectory_csv(buf)):
+                assert type(got.dt) is float and got.dt.hex() == dt.hex()
+
+    def test_one_sample_record_has_zero_dt(self):
+        assert TrajectoryRecord(*np.ones((len(TRAJECTORY_COLUMNS), 1))).dt == 0.0
 
 
 class TestErrorSystemEquivalence:
@@ -419,7 +441,7 @@ class TestCsv:
     def test_special_values_round_trip_bit_for_bit(self):
         specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308, np.inf, -np.inf])
         cols = [np.roll(specials, k) for k in range(len(TRAJECTORY_COLUMNS))]
-        rec = TrajectoryRecord(*cols, dt=0.0)
+        rec = TrajectoryRecord(*cols)
         buf = io.StringIO()
         write_trajectory_csv(buf, rec)
         buf.seek(0)
@@ -431,9 +453,21 @@ class TestCsv:
         n = 2 * harness._CSV_CHUNK_ROWS + 3
         cols = np.random.default_rng(5).standard_normal((len(TRAJECTORY_COLUMNS), n)) * 10.0 ** np.arange(-4, 4)[:, None]
         buf = io.StringIO()
-        write_trajectory_csv(buf, TrajectoryRecord(*cols, dt=0.0))
+        write_trajectory_csv(buf, TrajectoryRecord(*cols))
         rows = [",".join(format(float(v), ".17g") for v in row) for row in cols.T]
         assert buf.getvalue() == "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.binary(min_size=64, max_size=64 * 40))
+    def test_random_bit_patterns_round_trip(self, raw):
+        # Rows of eight float64 bit patterns; a NaN pattern becomes +0.0.
+        bits = np.frombuffer(raw[: len(raw) // 64 * 64], dtype="<u8").reshape(-1, 8).T.copy()
+        bits[np.isnan(bits.view(np.float64))] = 0
+        buf = io.StringIO()
+        write_trajectory_csv(buf, TrajectoryRecord(*bits.view(np.float64)))
+        buf.seek(0)
+        back = read_trajectory_csv(buf)
+        assert np.array_equal(np.array([getattr(back, name) for name in TRAJECTORY_COLUMNS]).view(np.uint64), bits)
 
     @pytest.mark.parametrize(
         "body",

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -168,7 +169,7 @@ class TestWorstCasePair:
     def test_degenerate_zero_noise(self):
         spec = WorstCaseSpec(tau=1.0, lambda2=1.1, N=0.0, L=1.0)
         pair = worst_case_pair(spec)
-        assert pair.degenerate
+        assert pair.description.endswith(" [degenerate: N=0, zero-noise ramp]")
         assert pair.N_cert == 0.0
         assert pair.eta(0.5) == 0.0
 
@@ -219,6 +220,20 @@ class TestMembership:
         pair = parse_pair("quadratic", "none", 1.0, 0.0)
         with pytest.raises(ValueError):
             check_membership(pair, horizon=1.0, samples=1)
+
+    @pytest.mark.parametrize(
+        "f, fddot, eta",
+        [
+            (lambda t: t * t / 2, lambda t: 1.0, lambda t: math.nan if t > 0.5 else 0.0),
+            (lambda t: t * t / 2, lambda t: math.nan if t > 0.5 else 1.0, lambda t: 0.0),
+            (lambda t: math.nan if t > 0.5 else t * t / 2, None, lambda t: 0.0),
+        ],
+        ids=["eta", "fddot", "f-second-difference"],
+    )
+    def test_nan_sample_fails(self, f, fddot, eta):
+        # `abs(nan) > bound` is False: only a `<=` test makes a NaN sample fail.
+        pair = SignalPair(f, lambda t: t, fddot, eta, 1.0, 0.01, "nan sample")
+        assert not check_membership(pair, horizon=1.0, samples=101)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
     def test_horizon_must_be_positive_and_finite(self, horizon):
@@ -373,6 +388,31 @@ class TestArraySampling:
         ts = np.linspace(0.0, 7.0, 2001)
         assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
 
+    @pytest.mark.parametrize(
+        "make_copy",
+        [copy.copy, copy.deepcopy, dataclasses.replace, lambda pair: pair],
+        ids=["copy", "deepcopy", "replace", "same-pair"],
+    )
+    def test_pair_without_grid_samples_its_current_evaluators(self, make_copy):
+        # `sample` keeps no state: a copy, or the pair itself after attribute
+        # assignment, samples the evaluators it holds when called.
+        pair = SignalPair(math.sin, math.cos, None, lambda t: 0.01 * math.cos(7.0 * t), 1.0, 0.01, "sine")
+        ts = np.linspace(0.0, 6.0, 601)
+        twin = make_copy(pair)
+        twin.f, twin.fdot, twin.eta = math.atan, math.tanh, math.sin
+        assert_same_bits(twin.sample(ts), scalar_columns(twin, ts))
+        if twin is not pair:
+            assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
+            assert pair.f is math.sin
+
+    def test_built_in_grid_belongs_to_its_own_evaluators(self):
+        pair = parse_pair("quadratic", "switching", 1.0, 0.01)
+        ts = np.linspace(0.0, 1.0, 201)
+        swapped = dataclasses.replace(pair, f=math.sin)
+        assert_same_bits(swapped.sample(ts), pair.sample(ts))  # the grid still evaluates the quadratic
+        swapped = dataclasses.replace(pair, f=math.sin, grid=None)
+        assert_same_bits(swapped.sample(ts), scalar_columns(swapped, ts))
+
     def test_custom_pair_gets_a_sampler_that_follows_its_evaluators(self):
         pair = SignalPair(math.sin, math.cos, None, lambda t: 0.01 * math.cos(7.0 * t), 1.0, 0.01, "sine")
         ts = np.linspace(0.0, 6.0, 601)
@@ -380,8 +420,8 @@ class TestArraySampling:
         pair.f = math.atan  # evaluators stay settable; the sampler reads them per call
         assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
         # A copy samples its own evaluators, not those of the pair it was made from.
-        copy = dataclasses.replace(pair, f=math.tanh, eta=math.sin)
-        assert_same_bits(copy.sample(ts), scalar_columns(copy, ts))
+        other = dataclasses.replace(pair, f=math.tanh, eta=math.sin)
+        assert_same_bits(other.sample(ts), scalar_columns(other, ts))
         assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
 
 
