@@ -215,20 +215,20 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params):
     lam2p1L = (p.lambda2 + 1.0) * p.L
     arg = z1 - eta
     sign = np.sign(arg)
-    dz1 = -k1 * sign * np.sqrt(np.abs(arg)) + z2
+    dz1, push = -k1 * sign * np.sqrt(np.abs(arg)) + z2, -k2 * sign
     for fddot in fddots:
-        q = z2 * (-k2 * sign - fddot)
+        q = z2 * (push - fddot)
         yield q / (p.alpha * lam2p1L) - dz1, q / (2.0 * p.alpha * lam2p1L), dz1 - q / lam2p1L
 
 
 def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     """Check one block of grid states; returns its violations in block order.
 
-    Each eta slot and fddot is evaluated over the whole active block: every
-    branch derivative is computed for all states and folded into the
-    observed rate, in branch order, where that branch applies.  The failing
-    samples are then gathered, ordered by (state, eta slot, fddot) and
-    turned into records in one pass.
+    Each eta slot and fddot is evaluated over its rows of the active block
+    (all for a corner, the in-band ones for a straddling slot): every branch
+    derivative is folded into the observed rate, in branch order, where that
+    branch applies.  The failing samples are then gathered, ordered by
+    (state, eta slot, fddot) and turned into records in one pass.
     """
     N, L = n.N, p.L
     z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
@@ -237,7 +237,6 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
         return []
 
     z1, z2, t1, t2, v = z1[idx], z2[idx], t1[idx], t2[idx], v[idx]
-    x1v, x2v = x1v[idx], x2v[idx]
     eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
     near_t1 = np.abs(z1 - t1) <= eps_cell
     near_t2 = np.abs(z1 - t2) <= eps_cell
@@ -247,33 +246,35 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
 
     required = -gamma * np.sqrt(v - N)
     limit = required + tolerance
-    delta = 1e-12 * np.maximum(np.abs(z1), max(1.0, N))
-    clamped = np.clip(z1, -N, N)
-    eta_slots = [
-        np.full_like(z1, -N),
-        np.full_like(z1, N),
-        np.clip(clamped - delta, -N, N),
-        np.clip(clamped + delta, -N, N),
-    ]
+    # Outside the noise band each branch is monotone in eta and peaks at a
+    # corner, so only in-band states get the two eta values straddling z1.
+    band = np.flatnonzero(np.abs(z1) <= N)
+    eta_slots = [(slice(None), np.full_like(z1, -N)), (slice(None), np.full_like(z1, N))]
+    if band.size:
+        zb = z1[band]
+        delta = 1e-12 * np.maximum(np.abs(zb), max(1.0, N))
+        eta_slots += [(band, np.clip(zb - delta, -N, N)), (band, np.clip(zb + delta, -N, N))]
     # Never evaluate exactly on the sign discontinuity: nudge eta into the
     # admissible band so both extreme selections get exercised nearby.
-    for e in eta_slots:
-        hit = z1 - e == 0.0
+    for rows, e in eta_slots:
+        z = z1[rows]
+        hit = z - e == 0.0
         if np.any(hit):
-            down_ok = e - delta >= -N
-            e[hit & down_ok] = (e - delta)[hit & down_ok]
-            e[hit & ~down_ok] = (e + delta)[hit & ~down_ok]
+            d = 1e-12 * np.maximum(np.abs(z), max(1.0, N))
+            down_ok = e - d >= -N
+            e[hit & down_ok] = (e - d)[hit & down_ok]
+            e[hit & ~down_ok] = (e + d)[hit & ~down_ok]
 
     hits = []  # (state, slot, fddot index, eta, observed) of failing samples
-    observed = np.empty_like(z1)
-    for slot, e in enumerate(eta_slots):
-        for k, rates in enumerate(_wdot_branches(z1, z2, e, (-L, L), p)):
-            observed.fill(-np.inf)
+    at = np.arange(z1.size)
+    for slot, (rows, e) in enumerate(eta_slots):
+        for k, rates in enumerate(_wdot_branches(z1[rows], z2[rows], e, (-L, L), p)):
+            observed = np.full(e.size, -np.inf)
             for wd, check in zip(rates, checks):
-                np.maximum(observed, wd, out=observed, where=check)
-            j = np.flatnonzero(observed > limit)
+                np.maximum(observed, wd, out=observed, where=check[rows])
+            j = np.flatnonzero(observed > limit[rows])
             if j.size:
-                hits.append((j, np.full(j.size, slot), np.full(j.size, k), e[j], observed[j]))
+                hits.append((at[rows][j], np.full(j.size, slot), np.full(j.size, k), e[j], observed[j]))
     if not hits:
         return []
 
@@ -281,8 +282,9 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     order = np.lexsort((k, slot, j))
     j, e, g = j[order], e[order], np.array((-L, L))[k[order]]
     # Report in the original (unmirrored) coordinates.
-    mir = x2v[j] < 0
-    cols = (x1v[j], x2v[j], np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
+    x1r, x2r = x1v[idx[j]], x2v[idx[j]]
+    mir = x2r < 0
+    cols = (x1r, x2r, np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
     return [
         DecreaseViolation(ErrorState(a, b), eta, fddot, obs, req)
         for a, b, eta, fddot, obs, req in zip(*(c.tolist() for c in cols))
@@ -299,12 +301,14 @@ def verify_decrease(
 ) -> list[DecreaseViolation]:
     """Certify V-dot <= -gamma sqrt(V - N) on the grid; returns all violations.
 
-    Only states with V > N + margin are tested.  Each state is checked
-    against the extreme disturbance corners (eta, fddot) in {-N, N} x {-L, L}
-    and two eta values straddling x1 inside the noise band, so both signs of
-    the discontinuous term are exercised.  Outside the band one straddling
-    eta is a corner (mirrored: the fourth slot is +N above the band, the
-    third -N below it), so a failing sample there is reported twice.
+    Only states with V > N + margin are tested, each at fddot in {-L, L}
+    and at the corners eta in {-N, N}.  Outside the noise band (|x1| > N)
+    the sign of x1 - eta is fixed, every branch of V-dot is monotone in eta,
+    and a corner is the worst case.  A state in the band (|x1| <= N) also
+    gets two eta values straddling x1 (nudged off x1 itself), so both signs
+    of the discontinuous term are exercised.  Each failing sample is reported
+    once, except within about 1e-12 of a band edge, where a straddling eta
+    is clipped or nudged onto a corner's.
     States near a region threshold are checked on both adjacent branches.
     When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
     which requires the gain condition to hold; passing `gamma` explicitly
@@ -313,7 +317,7 @@ def verify_decrease(
     blocks of whole rows (about 2**13 states), walked in increasing grid
     index, so peak memory does not grow with the grid.  Each block orders
     and builds its own records, so the list is ordered by grid index, then
-    eta sample, then fddot (-L before L), with no global sort.
+    eta slot (corners first), then fddot (-L before L), with no global sort.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma

@@ -5,9 +5,11 @@ the exact binary values of the float inputs, so the package results can be
 compared at the ulp level.  The implicit-step oracle solves the scalar
 generalized equation by bisection instead of the closed form.  The V-dot
 pair cross-checks the certifier's per-branch derivative against a finite
-difference of V.  The error-system recurrences step the paper's error
-dynamics directly in x = (y1 - f, y2 - fdot), as a reference for the
-harness, which runs them through the differentiator loop instead.
+difference of V, and the four-slot pass is the certifier as it was before
+it dropped the straddling eta samples outside the noise band.  The
+error-system recurrences step the paper's error dynamics directly in
+x = (y1 - f, y2 - fdot), as a reference for the harness, which runs them
+through the differentiator loop instead.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from stwdiff import ErrorState, Params, evaluate, region
 from stwdiff import differentiator as stw
-from stwdiff.lyapunov import _wdot_branches
+from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, _wdot_branches
 
 PREC = 50
 
@@ -154,6 +156,58 @@ def vdot_analytic(x: ErrorState, p: Params, eta: float, fddot: float) -> float:
         z1, z2, e, g = x.x1, x.x2, eta, fddot
     (rates,) = _wdot_branches(z1, z2, e, (g,), p)
     return float(rates[{"W1": 0, "W2": 1, "W3": 2}[reg.index]])
+
+
+def verify_decrease_four_slot(p, n, grid, gamma, margin=1e-9, tolerance=1e-9):
+    """Reference certifier: every active state gets all four eta slots.
+
+    The slots are the corners -N and +N and two values straddling z1 inside
+    the band, each with fddot in (-L, L), as `verify_decrease` sampled every
+    state before it evaluated the straddling slots on in-band states only.
+    The whole grid is one block.  Returns (slot, DecreaseViolation) pairs
+    ordered by grid index, then slot, then fddot.
+    """
+    N, L = n.N, p.L
+    x1s, x2s = grid.axes()
+    x1v, x2v = np.repeat(x1s, grid.n2), np.tile(x2s, grid.n1)
+    z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
+    idx = np.nonzero(v > N + margin)[0]
+    z1, z2, t1, t2, v, x1v, x2v = (a[idx] for a in (z1, z2, t1, t2, v, x1v, x2v))
+    eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
+    near_t1, near_t2 = np.abs(z1 - t1) <= eps_cell, np.abs(z1 - t2) <= eps_cell
+    le1, le2 = z1 <= t1, z1 <= t2
+    checks = (le1 | near_t1, (~le1 & le2) | near_t1 | near_t2, ~(le1 | le2) | near_t2)
+    required = -gamma * np.sqrt(v - N)
+    delta = 1e-12 * np.maximum(np.abs(z1), max(1.0, N))
+    clamped = np.clip(z1, -N, N)
+    slots = [
+        np.full_like(z1, -N),
+        np.full_like(z1, N),
+        np.clip(clamped - delta, -N, N),
+        np.clip(clamped + delta, -N, N),
+    ]
+    for e in slots:
+        hit = z1 - e == 0.0
+        down_ok = e - delta >= -N
+        e[hit & down_ok] = (e - delta)[hit & down_ok]
+        e[hit & ~down_ok] = (e + delta)[hit & ~down_ok]
+    found = []
+    for slot, e in enumerate(slots):
+        for k, rates in enumerate(_wdot_branches(z1, z2, e, (-L, L), p)):
+            observed = np.full_like(z1, -np.inf)
+            for wd, check in zip(rates, checks):
+                np.maximum(observed, wd, out=observed, where=check)
+            j = np.flatnonzero(observed > required + tolerance)
+            found.append((j, np.full(j.size, slot), np.full(j.size, k), e[j], observed[j]))
+    j, slot, k, e, observed = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((k, slot, j))
+    j, slot, e, g = j[order], slot[order], e[order], np.array((-L, L))[k[order]]
+    mir = x2v[j] < 0
+    cols = (slot, x1v[j], x2v[j], np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
+    return [
+        (s, DecreaseViolation(ErrorState(a, b), eta, fddot, obs, req))
+        for s, a, b, eta, fddot, obs, req in zip(*(c.tolist() for c in cols))
+    ]
 
 
 def vdot_one_sided(x: ErrorState, p: Params, eta: float, fddot: float, h: float = 1e-8) -> float:

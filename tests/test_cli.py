@@ -173,7 +173,7 @@ class TestVerifyLyapunov:
         assert len(lines) == 1 + int(kv["violations"])
 
     def test_non_finite_inputs_exit_two(self, capsys):
-        # With the reference gamma this mutant grid has 6650 violations; a NaN
+        # With the reference gamma this mutant grid has 3326 violations; a NaN
         # must not turn that into a vacuous pass.
         base = ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "100x100"]
         for extra in (["--gamma", "nan"], ["--gamma", "0.0012196936161602047", "--box=nan,3,-3,3"]):

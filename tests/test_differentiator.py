@@ -233,7 +233,7 @@ def finite(lo, hi):
 
 
 class TestSolveSigmaProperties:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(r=finite(-1e3, 1e3), a=finite(1e-8, 1e3), b=finite(1e-12, 1e3), near=st.booleans(), gap=finite(0.0, 1e-6))
     def test_residual_within_ulps_and_xi_in_sign_set(self, r, a, b, near, gap):
         if near:  # just outside the deadzone |r| <= b, or on its edge

@@ -457,7 +457,7 @@ class TestCsv:
         rows = [",".join(format(float(v), ".17g") for v in row) for row in cols.T]
         assert buf.getvalue() == "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.binary(min_size=64, max_size=64 * 40))
     def test_random_bit_patterns_round_trip(self, raw):
         # Rows of eight float64 bit patterns; a NaN pattern becomes +0.0.

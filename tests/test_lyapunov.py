@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stwdiff import (
@@ -21,12 +24,15 @@ from stwdiff import (
     validate_condition,
     verify_decrease,
 )
-from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, write_violations_csv
+from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, _wdot_branches, write_violations_csv
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 # Parameter set of the contour figure: alpha (lambda2 + 1) L = 4.
 P_CONTOUR = Params(4.1, 1.1, 1.0, 4.0 / 2.1)
 N_UNIT = NoiseLevel(1.0)
+N_SMALL = NoiseLevel(0.01)
+# The lambda2 = 0.5 mutant of the reference gains, probed with the reference gamma.
+P_MUTANT = Params(4.1, 0.5, 1.0, 4.0)
 
 
 def thresholds(z2, p):
@@ -39,6 +45,32 @@ def violations_digest(violations):
     buf = io.StringIO()
     write_violations_csv(buf, violations)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@functools.cache
+def mutant_violations(box, n1, n2):
+    gamma = decay_rate_gamma(P_REF).gamma
+    return verify_decrease(P_MUTANT, N_SMALL, GridSpec(*box, n1, n2), gamma=gamma)
+
+
+def assert_oracle_filtered(got, ref, n):
+    """`got` is the four-slot list `ref` without the straddling-slot records of
+    out-of-band states (|x1| > N; the mirror keeps |x1|), bit for bit and in
+    order, and reports the same failing states."""
+    kept = [v for slot, v in ref if slot < 2 or abs(v.state.x1) <= n.N]
+    assert got == kept
+    assert np.array_equal(record_bits(got), record_bits(kept))
+    assert {v.state for v in got} == {v.state for _, v in ref}
+
+
+def record_bits(violations):
+    """Each record's six floats as raw float64 bit patterns (so -0.0 != 0.0)."""
+    rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
+    return np.array(rows, dtype=float).reshape(-1, 6).view(np.uint64)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 def branch_values(z1, z2, p):
@@ -262,6 +294,35 @@ class TestVdot:
             assert fd == pytest.approx(ana, rel=1e-4, abs=1e-6)
             checked += 1
 
+    # Outside the noise band the certifier samples eta only at the corners.
+    # That is sound because the sign of z1 - eta is fixed there, and every
+    # operation after the subtraction (sqrt, scaling by a positive constant,
+    # adding a term free of eta) is monotone under rounding: each branch rate
+    # at any admissible eta is at most the larger of its two corner values,
+    # exactly, with no tolerance.
+    @settings(max_examples=300)
+    @given(
+        gains=st.tuples(finite(0.05, 20.0), finite(0.05, 20.0), finite(0.01, 100.0), finite(1.0001, 4.0)),
+        N=finite(1e-6, 10.0),
+        gap=finite(0.0, 20.0),
+        below=st.booleans(),
+        z2=finite(0.0, 50.0),
+        u=finite(-1.0, 1.0),
+        fddot_sign=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_out_of_band_branch_rates_peak_at_a_noise_corner(self, gains, N, gap, below, z2, u, fddot_sign):
+        p = Params(*gains)
+        z1 = max(N + gap, math.nextafter(N, math.inf))
+        z1 = -z1 if below else z1
+        eta = u * N
+        assert -N <= eta <= N
+        fddots = (fddot_sign * p.L,)
+        (at_eta,) = _wdot_branches(z1, z2, eta, fddots, p)
+        (at_lo,) = _wdot_branches(z1, z2, -N, fddots, p)
+        (at_hi,) = _wdot_branches(z1, z2, N, fddots, p)
+        for mid, lo, hi in zip(at_eta, at_lo, at_hi):
+            assert mid <= max(lo, hi)
+
 
 class TestVerifyDecrease:
     def test_clean_on_valid_gains(self):
@@ -302,11 +363,30 @@ class TestVerifyDecrease:
                 with pytest.raises(ValueError):
                     verify_decrease(P_REF, NoiseLevel(0.01), grid, **{key: bad})
 
-    # sha256 of the violations CSV written by the original whole-grid
-    # certifier: a grid whose row count is not a multiple of a block, a
-    # one-row grid, and rows longer than a whole block.  The 400x400 case
-    # is the benchmark's mutant probe (digest taken from the per-violation
-    # loop that preceded the whole-array block pass).
+    # sha256 of the violations CSV: a grid whose row count is not a multiple
+    # of a block, a one-row grid, and rows longer than a whole block.  The
+    # 400x400 case is the benchmark's mutant probe.  The 3x70000 digest is
+    # the one of the original whole-grid certifier and holds unchanged:
+    # every failing state of that grid is in the noise band.  The other three
+    # were re-taken when the straddling eta slots left the out-of-band states
+    # (they were 51546 / 2c878664..., 728 / 09a085af... and 105312 /
+    # 6420ff6a..., the four-slot digests that the oracle test below pins).
+    @pytest.mark.parametrize(
+        "box, n1, n2, count, digest",
+        [
+            ((-1.5, 1.5, -1.5, 1.5), 401, 397, 25846, "130a0f7c42cecd069e5d3cb04a8500c5194cfeb446fae3f233d5d39f0047faae"),
+            ((0.3, 1.5, -1.5, 1.5), 1, 900, 364, "19f1b90499dc6561aa671373757cb883aee8e55209b9e36198cbaf5ea28e22aa"),
+            ((-1.5, 1.5, -1.5, 1.5), 3, 70000, 4712, "7ff3daffc81e01add4f04d85f4021bf9a5271c1c53a504cff66fa5cabb96ac58"),
+            ((-3.0, 3.0, -3.0, 3.0), 400, 400, 52676, "ac5fd624091b453111b34cc947e13331538d952f61aa0e8edb521c82bd84bf21"),
+        ],
+    )
+    def test_mutant_violations_match_golden_csv(self, box, n1, n2, count, digest):
+        violations = mutant_violations(box, n1, n2)
+        assert len(violations) == count
+        assert violations_digest(violations) == digest
+
+    # The four-slot reference reproduces, bit for bit, the CSV of the
+    # certifier that gave every active state all four eta slots.
     @pytest.mark.parametrize(
         "box, n1, n2, count, digest",
         [
@@ -316,36 +396,62 @@ class TestVerifyDecrease:
             ((-3.0, 3.0, -3.0, 3.0), 400, 400, 105312, "6420ff6a07dfc7adfea1ce6ace76605e3da052c65e9e96f55bc2be5d15631433"),
         ],
     )
-    def test_mutant_violations_match_golden_csv(self, box, n1, n2, count, digest):
+    def test_golden_grids_are_the_four_slot_oracle_filtered(self, box, n1, n2, count, digest):
         gamma = decay_rate_gamma(P_REF).gamma
-        bad = Params(4.1, 0.5, 1.0, 4.0)
-        violations = verify_decrease(bad, NoiseLevel(0.01), GridSpec(*box, n1, n2), gamma=gamma)
-        assert len(violations) == count
-        assert violations_digest(violations) == digest
+        ref = oracles.verify_decrease_four_slot(P_MUTANT, N_SMALL, GridSpec(*box, n1, n2), gamma)
+        assert len(ref) == count
+        assert violations_digest([v for _, v in ref]) == digest
+        assert_oracle_filtered(mutant_violations(box, n1, n2), ref, N_SMALL)
 
-    # One-state grids checked with a gamma so large that all eight (eta,
-    # fddot) samples fail, so every sample is written out: states exactly on
-    # t1 and t2 (both adjacent branch derivatives), at x1 = +N and x1 = -N
-    # (eta nudged off the sign discontinuity, down and up), strictly inside
-    # the noise band, and mirrored (x2 < 0).  Digests taken from the
-    # per-violation loop that preceded the whole-array block pass.
+    # Other gains, noise bounds, gammas and boxes; the last grid puts states
+    # exactly on x1 = -N and x1 = +N (all of its points are binary fractions).
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_grids_are_the_four_slot_oracle_filtered(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        p = Params(*rng.uniform((0.5, 0.2, 0.1, 1.01), (8.0, 4.0, 5.0, 4.0)).tolist())
+        n = NoiseLevel(float(rng.uniform(0.005, 0.5)))
+        lo, hi = -rng.uniform(0.2, 3.0, size=2), rng.uniform(0.2, 3.0, size=2)
+        grid = GridSpec(lo[0], hi[0], lo[1], hi[1], *rng.integers(20, 90, size=2))
+        # Large enough that some states fail and others pass.
+        gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+        if seed == 3:
+            n, grid, gamma = NoiseLevel(0.25), GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 33), 20.0
+            assert {-0.25, 0.25} <= set(grid.axes()[0].tolist())
+        ref = oracles.verify_decrease_four_slot(p, n, grid, gamma)
+        got = verify_decrease(p, n, grid, gamma=gamma)
+        assert len(got) < len(ref)
+        assert any(abs(v.state.x1) <= n.N for v in got)
+        assert_oracle_filtered(got, ref, n)
+
+    # One-state grids checked with a gamma so large that every (eta, fddot)
+    # sample fails, so every sample is written out: states exactly on t1 and
+    # t2 (both adjacent branch derivatives), at x1 = +N and x1 = -N (eta
+    # nudged off the sign discontinuity, down and up), strictly inside the
+    # noise band, and mirrored (x2 < 0).  A state in the band (|x1| <= N)
+    # gets all eight samples; one outside it gets the four at the corners.
+    # The in-band digests were taken from the per-violation loop that
+    # preceded the whole-array block pass and hold unchanged; the four
+    # out-of-band digests were re-taken when their straddling slots were
+    # dropped (they were f3c7c9db..., d2260107..., 11cc6a97... and
+    # b95842c6..., eight samples each).
     @pytest.mark.parametrize(
         "x1, x2, digest",
         [
-            (thresholds(1.0, P_REF)[0], 1.0, "f3c7c9db795babecc0c4c553433710dba37a10d652f60b37c4bd6a225a6a3da9"),
-            (thresholds(1.0, P_REF)[1], 1.0, "d22601074ccabae9d3db1016ddaad544669e2bb5961e6c4f88986c072dac450b"),
+            (thresholds(1.0, P_REF)[0], 1.0, "f4b2370eebac37736dd0d0a87184cc081d097a4f54eb113d65e7b780756f5120"),
+            (thresholds(1.0, P_REF)[1], 1.0, "54b0be755047ab8939c513e840866098a9df7dc7afe53d3d03b21bcdf2cbf3bb"),
             (0.01, 1.0, "8077e2ea93a6b397e681daea43b6b130187a1dd9c1a4e0c0e3bbceb296169824"),
             (-0.01, 1.0, "2c3fc02ad02413d702e7bd67269176b7362568814e003df06997d5b0844a681f"),
             (0.004, 1.0, "ef40fbf8bbd6773f362e7e5b16faec36cced7bcd83131c7ec2d68278bdd8e48e"),
-            (-thresholds(1.5, P_REF)[0], -1.5, "11cc6a9744a7f57b9d8e9a672d6254d2cc230ed829604e23a50d5d9cc27e4a62"),
+            (-thresholds(1.5, P_REF)[0], -1.5, "8c6dacb9819eac0966289341b57a829eb0d898d2ffde9eb02000d9b96deb6c64"),
             (0.004, -1.0, "c41bba4f6ff22ea0a0cc46eda7c74273e8b7dadb06d20d34b45f2601b16efe7f"),
-            (-0.5, -0.2, "b95842c60fbb52712daae45293cf25a902efbbaf53a5a114a1135628345c1958"),
+            (-0.5, -0.2, "506ea2e38eb4bab90a931709bb6686fe089765c96372f84dab817bbddc86b643"),
         ],
     )
     def test_single_state_probes_match_golden_csv(self, x1, x2, digest):
         grid = GridSpec(x1, x1 + 1.0, x2, x2 + 1.0, 1, 1)
-        violations = verify_decrease(P_REF, NoiseLevel(0.01), grid, gamma=1e4)
-        assert [(v.state.x1, v.state.x2) for v in violations] == [(x1, x2)] * 8
+        violations = verify_decrease(P_REF, N_SMALL, grid, gamma=1e4)
+        samples = 8 if abs(x1) <= N_SMALL.N else 4
+        assert [(v.state.x1, v.state.x2) for v in violations] == [(x1, x2)] * samples
         assert violations_digest(violations) == digest
 
     def test_record_types(self):

@@ -82,7 +82,7 @@ class TestInjectionGains:
         assert [f.name for f in dataclasses.fields(p)] == ["lambda1", "lambda2", "L", "alpha"]
         assert p.injection_gains is gains
 
-    @settings(derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         lambda1=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         lambda2=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),

@@ -425,8 +425,8 @@ class TestArraySampling:
         assert_same_bits(pair.sample(ts), scalar_columns(pair, ts))
 
 
-# Derandomized: the same examples on every run, and nothing written to disk.
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+# Derandomized through the profile in conftest.py.
+PROPERTY = settings(max_examples=100)
 
 
 def finite(lo, hi):
