@@ -15,6 +15,7 @@ produce spurious violations) against extreme admissible disturbances.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -25,7 +26,7 @@ from .params import NoiseLevel, Params, error_upper_bound
 W1, W2, W3 = "W1", "W2", "W3"
 
 # States per certifier block; peak memory scales with this, not with the grid.
-_BLOCK_STATES = 1 << 13
+_BLOCK_STATES = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +96,15 @@ class GridSpec:
     def __post_init__(self):
         if not all(math.isfinite(b) for b in (self.x1_min, self.x1_max, self.x2_min, self.x2_max)):
             raise ValueError("grid bounds must be finite")
+        # An overflowing span would fill the axes with inf and nan.
+        if not (math.isfinite(self.x1_max - self.x1_min) and math.isfinite(self.x2_max - self.x2_min)):
+            raise ValueError("grid span must be finite")
+        try:
+            if isinstance(self.n1, bool) or isinstance(self.n2, bool):
+                raise TypeError
+            operator.index(self.n1), operator.index(self.n2)
+        except TypeError:
+            raise ValueError(f"grid counts must be integers, got {self.n1!r} and {self.n2!r}") from None
         if self.n1 < 1 or self.n2 < 1 or self.x1_min >= self.x1_max or self.x2_min >= self.x2_max:
             raise ValueError("grid must span a nonempty box with at least one point per axis")
 
@@ -224,30 +234,42 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params):
 def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     """Check one block of grid states; returns its violations in block order.
 
-    Each eta slot and fddot is evaluated over its rows of the active block
-    (all for a corner, the in-band ones for a straddling slot): every branch
-    derivative is folded into the observed rate, in branch order, where that
-    branch applies.  The failing samples are then gathered, ordered by
-    (state, eta slot, fddot) and turned into records in one pass.
+    The states that the screen does not clear get the per-sample pass: each
+    eta slot and fddot is evaluated over its rows (all for a corner, the
+    in-band ones for a straddling slot), and every branch derivative is
+    folded into the observed rate, in branch order, where that branch
+    applies.  The failing samples are then gathered, ordered by (state, eta
+    slot, fddot) and turned into records in one pass.
     """
     N, L = n.N, p.L
     z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
-    idx = np.nonzero(v > N + margin)[0]
-    if idx.size == 0:
-        return []
-
-    z1, z2, t1, t2, v = z1[idx], z2[idx], t1[idx], t2[idx], v[idx]
-    eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
-    near_t1 = np.abs(z1 - t1) <= eps_cell
-    near_t2 = np.abs(z1 - t2) <= eps_cell
-    # States within eps_cell of a threshold are checked on both adjacent branches.
+    idx = np.flatnonzero(v > N + margin)
+    if idx.size < v.size:
+        z1, z2, t1, t2, v = z1[idx], z2[idx], t1[idx], t2[idx], v[idx]
+    required = -gamma * np.sqrt(v - N)
+    if not np.isfinite(required).all():
+        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
+    limit = required + tolerance
+    # States within eps_cell of a threshold are checked on both adjacent
+    # branches, so they go on to the per-sample pass, as in-band states do.
     le1, le2 = z1 <= t1, z1 <= t2
+    eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
+    near_t1, near_t2 = np.abs(z1 - t1) <= eps_cell, np.abs(z1 - t2) <= eps_cell
+    del t1, t2, v, eps_cell  # fewer live arrays keep blocks off glibc's heap-trim path
+    # Screen each state at the peak of the branch it lies in (exact outside
+    # the noise band; see verify_decrease).
+    ((w1, w2, w3),) = _wdot_branches(z1, z2, np.where(le1, -N, N), (np.where(le2, -L, L),), p)
+    worst = np.where(le1, w1, np.where(le2, w2, w3))
+    go = np.flatnonzero((worst > limit) | near_t1 | near_t2 | (np.abs(z1) <= N))
+    if go.size == 0:
+        return []
+    del w1, w2, w3, worst
+    idx, z1, z2, required, limit, le1, le2, near_t1, near_t2 = (
+        a[go] for a in (idx, z1, z2, required, limit, le1, le2, near_t1, near_t2)
+    )
     checks = (le1 | near_t1, (~le1 & le2) | near_t1 | near_t2, ~(le1 | le2) | near_t2)
 
-    required = -gamma * np.sqrt(v - N)
-    limit = required + tolerance
-    # Outside the noise band each branch is monotone in eta and peaks at a
-    # corner, so only in-band states get the two eta values straddling z1.
+    # Only in-band states get the two eta values straddling z1.
     band = np.flatnonzero(np.abs(z1) <= N)
     eta_slots = [(slice(None), np.full_like(z1, -N)), (slice(None), np.full_like(z1, N))]
     if band.size:
@@ -284,11 +306,8 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     # Report in the original (unmirrored) coordinates.
     x1r, x2r = x1v[idx[j]], x2v[idx[j]]
     mir = x2r < 0
-    cols = (x1r, x2r, np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
-    return [
-        DecreaseViolation(ErrorState(a, b), eta, fddot, obs, req)
-        for a, b, eta, fddot, obs, req in zip(*(c.tolist() for c in cols))
-    ]
+    cols = (np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
+    return list(map(DecreaseViolation, map(ErrorState, x1r.tolist(), x2r.tolist()), *(c.tolist() for c in cols)))
 
 
 def verify_decrease(
@@ -302,33 +321,43 @@ def verify_decrease(
     """Certify V-dot <= -gamma sqrt(V - N) on the grid; returns all violations.
 
     Only states with V > N + margin are tested, each at fddot in {-L, L}
-    and at the corners eta in {-N, N}.  Outside the noise band (|x1| > N)
-    the sign of x1 - eta is fixed, every branch of V-dot is monotone in eta,
-    and a corner is the worst case.  A state in the band (|x1| <= N) also
-    gets two eta values straddling x1 (nudged off x1 itself), so both signs
-    of the discontinuous term are exercised.  Each failing sample is reported
-    once, except within about 1e-12 of a band edge, where a straddling eta
-    is clipped or nudged onto a corner's.
-    States near a region threshold are checked on both adjacent branches.
-    When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
-    which requires the gain condition to hold; passing `gamma` explicitly
-    skips that requirement (mutation probes).  Raises ValueError when
-    `gamma`, `margin` or `tolerance` is not finite.  The grid is checked in
-    blocks of whole rows (about 2**13 states), walked in increasing grid
-    index, so peak memory does not grow with the grid.  Each block orders
-    and builds its own records, so the list is ordered by grid index, then
-    eta slot (corners first), then fddot (-L before L), with no global sort.
+    and at the corners eta in {-N, N}.  A state in the noise band
+    (|x1| <= N) also gets two eta values straddling x1 (nudged off x1
+    itself), so both signs of the discontinuous term are exercised.  Outside
+    the band the sign of x1 - eta is fixed, and in the mirrored frame W1
+    peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L for either eta, and
+    W3 at (N, L).  Every step after x1 - eta is monotone under rounding, so
+    a state's rate at the peak of its branch is exactly the largest of its
+    samples.  Each state is screened there first; only the states that
+    fail, those in the band and those within eps_cell of a region threshold
+    (checked on both adjacent branches) are then evaluated sample by
+    sample.  Each failing sample is reported once, except within about
+    1e-12 of a band edge, where a straddling eta is clipped or nudged onto
+    a corner's.  When `gamma` is omitted it is taken from
+    :func:`decay_rate_gamma`, which requires the gain condition to hold;
+    passing `gamma` explicitly skips that requirement (mutation probes).
+    Raises ValueError when `gamma`, `margin` or `tolerance` is not finite,
+    when `margin` is negative, and when V or the required rate is not
+    finite at a tested state.  The grid is checked in blocks of whole rows
+    (about 2**12 states, so a block's arrays stay near 0.4 MB in all),
+    walked in increasing grid index.  Each block orders and builds its own
+    records, so the list is ordered by grid index, then eta slot (corners
+    first), then fddot (-L before L), with no global sort.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
     if not all(math.isfinite(v) for v in (gamma, margin, tolerance)):
         raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
     x1s, x2s = grid.axes()
     rows = max(1, _BLOCK_STATES // grid.n2)
     out = []
-    for r0 in range(0, grid.n1, rows):
-        x1v = np.repeat(x1s[r0 : r0 + rows], grid.n2)
-        out += _verify_chunk(p, n, gamma, margin, tolerance, x1v, np.tile(x2s, x1v.size // grid.n2))
+    # An overflow shows as a non-finite V or required rate, which raises.
+    with np.errstate(over="ignore"):
+        for r0 in range(0, grid.n1, rows):
+            x1v = np.repeat(x1s[r0 : r0 + rows], grid.n2)
+            out += _verify_chunk(p, n, gamma, margin, tolerance, x1v, np.tile(x2s, x1v.size // grid.n2))
     return out
 
 

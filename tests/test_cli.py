@@ -176,11 +176,26 @@ class TestVerifyLyapunov:
         # With the reference gamma this mutant grid has 3326 violations; a NaN
         # must not turn that into a vacuous pass.
         base = ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "100x100"]
-        for extra in (["--gamma", "nan"], ["--gamma", "0.0012196936161602047", "--box=nan,3,-3,3"]):
+        # The last two boxes overflow: one in its span (the axes would hold
+        # inf and nan), one in V (the required rate would read -inf).
+        for extra in (
+            ["--gamma", "nan"],
+            ["--gamma", "0.0012196936161602047", "--box=nan,3,-3,3"],
+            ["--gamma", "0.0012196936161602047", "--box=-1e308,1e308,-1,1"],
+            ["--gamma", "0.0012196936161602047", "--box=-1e200,1e200,-1e200,1e200"],
+        ):
             code, out, err = run_cli(capsys, base + extra)
             assert code == 2
             assert "must be finite" in err
             assert "violations=" not in out + err
+
+    def test_negative_margin_exits_two(self, capsys):
+        # It would admit states with V < N, whose required rate is NaN.
+        argv = ["verify-lyapunov", "--margin=-0.5", "--lambda2", "0.5", "--gamma", "0.00122", "--resolution", "41x41"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "margin must be nonnegative" in err
+        assert "violations=" not in out + err
 
     def test_condition_violation_without_gamma_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "10x10"])
@@ -214,7 +229,7 @@ class TestContour:
         with pytest.raises(SystemExit) as exc:
             main(["contour", "--box", "1,2,3"])
         assert exc.value.code == 2
-        for box in ("-inf,1,-1,1", "-1,1,-1,inf", "nan,1,-1,1"):
+        for box in ("-inf,1,-1,1", "-1,1,-1,inf", "nan,1,-1,1", "-1e308,1e308,-1,1"):
             code, out, err = run_cli(capsys, ["contour", f"--box={box}", "--resolution", "5x5"])
             assert code == 2
             assert "finite" in err

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,17 @@ class TestVdot:
         (at_hi,) = _wdot_branches(z1, z2, N, fddots, p)
         for mid, lo, hi in zip(at_eta, at_lo, at_hi):
             assert mid <= max(lo, hi)
+        # The certifier screens the state at one corner sample per branch:
+        # W1 at (-N, -L), W2 at fddot = -L (bit-equal at both eta corners)
+        # and W3 at (N, L).  No corner sample exceeds those values.
+        L = p.L
+        corners = {(e, f): w for e in (-N, N) for f, w in zip((-L, L), _wdot_branches(z1, z2, e, (-L, L), p))}
+        peaks = (corners[-N, -L][0], corners[-N, -L][1], corners[N, L][2])
+        for sample in corners.values():
+            for value, peak in zip(sample, peaks):
+                assert value <= peak
+        for f in (-L, L):
+            assert float.hex(float(corners[-N, f][1])) == float.hex(float(corners[N, f][1]))
 
 
 class TestVerifyDecrease:
@@ -357,11 +369,32 @@ class TestVerifyDecrease:
                 bounds[i] = bad
                 with pytest.raises(ValueError):
                     GridSpec(*bounds, 10, 10)
+        # Counts must be integers (not bools), and the box span must not overflow.
+        for n1, n2 in ((2.5, 3), (3, 2.5), (True, 3), (3, False), ("3", 3), (None, 3)):
+            with pytest.raises(ValueError, match="integers"):
+                GridSpec(-1.0, 1.0, -1.0, 1.0, n1, n2)
+        assert GridSpec(-1.0, 1.0, -1.0, 1.0, np.int64(3), 3).axes()[0].tolist() == [-1.0, 0.0, 1.0]
+        for bounds in ((-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1e308, 1e308)):
+            with pytest.raises(ValueError, match="span"):
+                GridSpec(*bounds, 3, 3)
         grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 10, 10)
         for bad in (math.nan, math.inf):
             for key in ("gamma", "margin", "tolerance"):
                 with pytest.raises(ValueError):
                     verify_decrease(P_REF, NoiseLevel(0.01), grid, **{key: bad})
+
+    def test_negative_margin_and_overflowing_v_rejected(self):
+        # A negative margin admits states with V < N, whose required rate is
+        # NaN and which would be skipped silently.
+        gamma = decay_rate_gamma(P_REF).gamma
+        with pytest.raises(ValueError, match="margin"):
+            verify_decrease(P_MUTANT, N_SMALL, GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), gamma=gamma, margin=-0.5)
+        assert verify_decrease(P_MUTANT, N_SMALL, GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), gamma=gamma, margin=0.0)
+        # V overflows at |x2| = 1e200, and so does the required rate at a huge gamma.
+        with pytest.raises(ValueError, match="finite"):
+            verify_decrease(P_REF, N_SMALL, GridSpec(-1e200, 1e200, -1e200, 1e200, 5, 5))
+        with pytest.raises(ValueError, match="finite"):
+            verify_decrease(P_REF, N_SMALL, GridSpec(-1e150, 1e150, -1e150, 1e150, 5, 5), gamma=1e300)
 
     # sha256 of the violations CSV: a grid whose row count is not a multiple
     # of a block, a one-row grid, and rows longer than a whole block.  The
@@ -422,6 +455,42 @@ class TestVerifyDecrease:
         assert len(got) < len(ref)
         assert any(abs(v.state.x1) <= n.N for v in got)
         assert_oracle_filtered(got, ref, n)
+
+    # Reference gains with gamma just above the grid's smallest decrease
+    # rate -Vdot / sqrt(V - N): only the few states that attain it fail, and
+    # they fail by about an ulp (tolerance 0) or by 1e-6 relative, so the
+    # screen must match the per-sample pass exactly at the limit.
+    @pytest.mark.parametrize("nudge, tolerance", [(lambda g: math.nextafter(g, 1.0), 0.0), (lambda g: g * (1 + 1e-6), 1e-9)])
+    def test_reference_grid_at_its_smallest_slack_is_the_four_slot_oracle_filtered(self, nudge, tolerance):
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 61, 59)
+        # With gamma = 1 every sample whose rate ratio is below 1 fails, and
+        # its required rate is -sqrt(V - N).
+        slack = min(v.observed_rate / v.required_rate for _, v in oracles.verify_decrease_four_slot(P_REF, N_SMALL, grid, 1.0))
+        gamma = nudge(slack)
+        ref = oracles.verify_decrease_four_slot(P_REF, N_SMALL, grid, gamma, tolerance=tolerance)
+        got = verify_decrease(P_REF, N_SMALL, grid, gamma=gamma, tolerance=tolerance)
+        assert 0 < len({v.state for v in got}) < 0.02 * grid.n1 * grid.n2
+        assert_oracle_filtered(got, ref, N_SMALL)
+        assert verify_decrease(P_REF, N_SMALL, grid, gamma=slack, tolerance=tolerance) == []
+
+    # The largest working set (memory live at once) of a block on the clean
+    # reference 1500x1500 pass, read as the traced peak over the run minus
+    # what was held before it; the clean pass returns nothing, so the peak is
+    # one block's.  Blocks of 2**12 states peak at 0.39 MB (0.64 MB in the
+    # blocks with noise-band rows) plus 48 KB of block coordinates, 0.73 MB
+    # in all.  The 2**13-state blocks whose temporaries glibc trimmed from
+    # the heap top and faulted back in, in some runs and not in others,
+    # peaked at 1.53 MB (1.68 MB in all).
+    def test_block_working_set_stays_small(self):
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 1500, 1500)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert verify_decrease(P_REF, N_SMALL, grid) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1_000_000
 
     # One-state grids checked with a gamma so large that every (eta, fddot)
     # sample fails, so every sample is written out: states exactly on t1 and
