@@ -27,6 +27,7 @@ from .lyapunov import (
     GammaReport,
     GridSpec,
     Region,
+    Violations,
     decay_rate_gamma,
     evaluate,
     evaluate_grid,

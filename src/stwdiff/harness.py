@@ -234,14 +234,19 @@ def contour_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lyapunov values on a uniform grid over the box; returns (x1s, x2s, V).
 
-    V has shape (len(x1s), len(x2s)).
+    V has shape (len(x1s), len(x2s)).  Raises ValueError when V overflows
+    somewhere on the grid.
     """
     n1, n2 = resolution
     if n1 < 2 or n2 < 2:
         raise ValueError(f"resolution must be at least 2x2, got {n1}x{n2}")
     x1s, x2s = GridSpec(*box, n1, n2).axes()
     g1, g2 = np.meshgrid(x1s, x2s, indexing="ij")
-    return x1s, x2s, evaluate_grid(g1, g2, p)
+    with np.errstate(over="ignore"):
+        V = evaluate_grid(g1, g2, p)
+    if not np.isfinite(V).all():
+        raise ValueError("V must be finite on the grid")
+    return x1s, x2s, V
 
 
 # Rows formatted per write: bounds the text held in memory at once.

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -80,6 +81,51 @@ class DecreaseViolation:
     fddot: float
     observed_rate: float
     required_rate: float
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Violations(Sequence):
+    """Failing samples of `verify_decrease` as six read-only float64 columns.
+
+    Row i is the record DecreaseViolation(ErrorState(x1[i], x2[i]), eta[i],
+    fddot[i], observed[i], required[i]).  Records are built only when read:
+    an int index (negative allowed) builds one, iteration builds them in
+    row order, and a slice gives the rows' own `Violations`.  The columns
+    are private copies, so the result cannot change after it is made.
+    Equality is identity; compare `list(result)` to compare records.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
+    eta: np.ndarray
+    fddot: np.ndarray
+    observed: np.ndarray
+    required: np.ndarray
+
+    def __post_init__(self):
+        cols = [np.array(c, dtype=np.float64) for c in self._columns()]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise ValueError("violation columns must be one-dimensional and of equal length")
+        for f, c in zip(fields(self), cols):
+            c.flags.writeable = False
+            object.__setattr__(self, f.name, c)
+
+    def _columns(self):
+        return self.x1, self.x2, self.eta, self.fddot, self.observed, self.required
+
+    def __len__(self) -> int:
+        return self.x1.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Violations(*(c[i] for c in self._columns()))
+        i = range(len(self))[i]  # IndexError out of range, TypeError for a non-integer
+        x1, x2, *rest = (c[i].item() for c in self._columns())
+        return DecreaseViolation(ErrorState(x1, x2), *rest)
+
+    def __iter__(self):
+        x1, x2, *rest = (c.tolist() for c in self._columns())
+        return map(DecreaseViolation, map(ErrorState, x1, x2), *rest)
 
 
 @dataclass(frozen=True)
@@ -231,15 +277,19 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params):
         yield q / (p.alpha * lam2p1L) - dz1, q / (2.0 * p.alpha * lam2p1L), dz1 - q / lam2p1L
 
 
+# The columns of a block without a failing sample.
+_NO_VIOLATIONS = (np.empty(0),) * 6
+
+
 def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
-    """Check one block of grid states; returns its violations in block order.
+    """Check one block of grid states; returns its failing samples in block order.
 
     The states that the screen does not clear get the per-sample pass: each
     eta slot and fddot is evaluated over its rows (all for a corner, the
     in-band ones for a straddling slot), and every branch derivative is
     folded into the observed rate, in branch order, where that branch
-    applies.  The failing samples are then gathered, ordered by (state, eta
-    slot, fddot) and turned into records in one pass.
+    applies.  The failing samples are then gathered and ordered by (state,
+    eta slot, fddot) into the six columns of `Violations`.
     """
     N, L = n.N, p.L
     z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
@@ -262,7 +312,7 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     worst = np.where(le1, w1, np.where(le2, w2, w3))
     go = np.flatnonzero((worst > limit) | near_t1 | near_t2 | (np.abs(z1) <= N))
     if go.size == 0:
-        return []
+        return _NO_VIOLATIONS
     del w1, w2, w3, worst
     idx, z1, z2, required, limit, le1, le2, near_t1, near_t2 = (
         a[go] for a in (idx, z1, z2, required, limit, le1, le2, near_t1, near_t2)
@@ -298,7 +348,7 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
             if j.size:
                 hits.append((at[rows][j], np.full(j.size, slot), np.full(j.size, k), e[j], observed[j]))
     if not hits:
-        return []
+        return _NO_VIOLATIONS
 
     j, slot, k, e, observed = (np.concatenate(col) for col in zip(*hits))
     order = np.lexsort((k, slot, j))
@@ -306,8 +356,7 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     # Report in the original (unmirrored) coordinates.
     x1r, x2r = x1v[idx[j]], x2v[idx[j]]
     mir = x2r < 0
-    cols = (np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j])
-    return list(map(DecreaseViolation, map(ErrorState, x1r.tolist(), x2r.tolist()), *(c.tolist() for c in cols)))
+    return x1r, x2r, np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j]
 
 
 def verify_decrease(
@@ -317,8 +366,8 @@ def verify_decrease(
     gamma: float | None = None,
     margin: float = 1e-9,
     tolerance: float = 1e-9,
-) -> list[DecreaseViolation]:
-    """Certify V-dot <= -gamma sqrt(V - N) on the grid; returns all violations.
+) -> Violations:
+    """Certify V-dot <= -gamma sqrt(V - N) on the grid; returns every failing sample.
 
     Only states with V > N + margin are tested, each at fddot in {-L, L}
     and at the corners eta in {-N, N}.  A state in the noise band
@@ -340,9 +389,11 @@ def verify_decrease(
     when `margin` is negative, and when V or the required rate is not
     finite at a tested state.  The grid is checked in blocks of whole rows
     (about 2**12 states, so a block's arrays stay near 0.4 MB in all),
-    walked in increasing grid index.  Each block orders and builds its own
-    records, so the list is ordered by grid index, then eta slot (corners
-    first), then fddot (-L before L), with no global sort.
+    walked in increasing grid index.  Each block orders its own failing
+    samples, so the result is ordered by grid index, then eta slot (corners
+    first), then fddot (-L before L), with no global sort.  It is a
+    `Violations`: the samples' six float64 columns, concatenated once, whose
+    `DecreaseViolation` records are built only when read.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
@@ -352,17 +403,19 @@ def verify_decrease(
         raise ValueError(f"margin must be nonnegative, got {margin}")
     x1s, x2s = grid.axes()
     rows = max(1, _BLOCK_STATES // grid.n2)
-    out = []
+    chunks = []
     # An overflow shows as a non-finite V or required rate, which raises.
     with np.errstate(over="ignore"):
         for r0 in range(0, grid.n1, rows):
             x1v = np.repeat(x1s[r0 : r0 + rows], grid.n2)
-            out += _verify_chunk(p, n, gamma, margin, tolerance, x1v, np.tile(x2s, x1v.size // grid.n2))
-    return out
+            chunks.append(_verify_chunk(p, n, gamma, margin, tolerance, x1v, np.tile(x2s, x1v.size // grid.n2)))
+    # A grid has at least one row, so there is at least one block to join.
+    return Violations(*map(np.concatenate, zip(*chunks)))
 
 
-def write_violations_csv(fileobj, violations: list[DecreaseViolation]) -> None:
-    """Emit violations as CSV with header x1,x2,eta,fddot,observed,required."""
+def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> None:
+    """Emit violations (a `Violations` result or any records) as CSV with
+    header x1,x2,eta,fddot,observed,required."""
     fileobj.write("x1,x2,eta,fddot,observed,required\n")
     for rec in violations:
         fileobj.write(

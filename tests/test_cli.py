@@ -235,6 +235,14 @@ class TestContour:
             assert "finite" in err
             assert out == ""
 
+    def test_overflowing_v_exits_two(self, capsys, tmp_path):
+        out_path = tmp_path / "contour.csv"
+        argv = ["contour", "--box=-1e200,1e200,-1e200,1e200", "--resolution", "3x3"]
+        code, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
+        assert code == 2
+        assert "V must be finite" in err
+        assert out == "" and not out_path.exists()
+
 
 class TestWorstCase:
     def test_reports_near_attainment(self, capsys):

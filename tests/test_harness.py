@@ -408,6 +408,12 @@ class TestContour:
         with pytest.raises(ValueError):
             contour_grid(P_REF, (-1.0, 1.0, -1.0, 1.0), (1, 5))
 
+    def test_overflowing_v_rejected(self):
+        # V grows like x2^2, so it overflows at |x2| = 1e200 although the box is finite.
+        with pytest.raises(ValueError, match="finite"):
+            contour_grid(P_REF, (-1e200, 1e200, -1e200, 1e200), (3, 3))
+        assert np.isfinite(contour_grid(P_REF, (-1e154, 1e154, -1e154, 1e154), (3, 3))[2]).all()
+
 
 class TestCsv:
     def test_trajectory_round_trip_is_bit_exact(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import math
@@ -16,6 +17,7 @@ from stwdiff import (
     GridSpec,
     NoiseLevel,
     Params,
+    Violations,
     decay_rate_gamma,
     evaluate,
     evaluate_grid,
@@ -59,7 +61,7 @@ def assert_oracle_filtered(got, ref, n):
     out-of-band states (|x1| > N; the mirror keeps |x1|), bit for bit and in
     order, and reports the same failing states."""
     kept = [v for slot, v in ref if slot < 2 or abs(v.state.x1) <= n.N]
-    assert got == kept
+    assert list(got) == kept
     assert np.array_equal(record_bits(got), record_bits(kept))
     assert {v.state for v in got} == {v.state for _, v in ref}
 
@@ -339,7 +341,7 @@ class TestVdot:
 class TestVerifyDecrease:
     def test_clean_on_valid_gains(self):
         grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 120, 120)
-        assert verify_decrease(P_REF, NoiseLevel(0.01), grid) == []
+        assert len(verify_decrease(P_REF, NoiseLevel(0.01), grid)) == 0
 
     def test_mutation_produces_violations(self):
         gamma = decay_rate_gamma(P_REF).gamma
@@ -355,7 +357,7 @@ class TestVerifyDecrease:
     def test_states_inside_omega_are_skipped(self):
         # A box strictly inside the invariant set yields nothing to check.
         grid = GridSpec(-0.005, 0.005, -0.05, 0.05, 20, 20)
-        assert verify_decrease(P_REF, NoiseLevel(1.0), grid) == []
+        assert len(verify_decrease(P_REF, NoiseLevel(1.0), grid)) == 0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -471,7 +473,7 @@ class TestVerifyDecrease:
         got = verify_decrease(P_REF, N_SMALL, grid, gamma=gamma, tolerance=tolerance)
         assert 0 < len({v.state for v in got}) < 0.02 * grid.n1 * grid.n2
         assert_oracle_filtered(got, ref, N_SMALL)
-        assert verify_decrease(P_REF, N_SMALL, grid, gamma=slack, tolerance=tolerance) == []
+        assert len(verify_decrease(P_REF, N_SMALL, grid, gamma=slack, tolerance=tolerance)) == 0
 
     # The largest working set (memory live at once) of a block on the clean
     # reference 1500x1500 pass, read as the traced peak over the run minus
@@ -486,7 +488,7 @@ class TestVerifyDecrease:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert verify_decrease(P_REF, N_SMALL, grid) == []
+            assert len(verify_decrease(P_REF, N_SMALL, grid)) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -527,8 +529,8 @@ class TestVerifyDecrease:
         gamma = decay_rate_gamma(P_REF).gamma
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20)
         violations = verify_decrease(Params(4.1, 0.5, 1.0, 4.0), NoiseLevel(0.01), grid, gamma=gamma)
-        assert type(violations) is list and violations
-        assert type(verify_decrease(P_REF, NoiseLevel(0.01), grid)) is list
+        assert type(violations) is Violations and violations
+        assert type(verify_decrease(P_REF, NoiseLevel(0.01), grid)) is Violations
         v = violations[0]
         assert type(v) is DecreaseViolation and type(v.state) is ErrorState
         # Slotted: one record per failing sample, with no per-instance dict.
@@ -558,3 +560,71 @@ class TestVerifyDecrease:
         assert len(lines) == len(violations) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first[4] > first[5]
+
+
+class TestViolations:
+    def test_length_truth_and_indexing_match_the_records(self):
+        violations = mutant_violations((-1.5, 1.5, -1.5, 1.5), 3, 70000)
+        records = list(violations)
+        assert len(violations) == len(records) == 4712 and violations
+        for i in (0, 1, 4711, -1, -2, -4712):
+            assert violations[i] == records[i]
+        for bad in (4712, -4713):
+            with pytest.raises(IndexError):
+                violations[bad]
+        for s in (slice(None), slice(3, 40), slice(-25, None, 3), slice(None, None, -1), slice(9, 3)):
+            part = violations[s]
+            assert type(part) is Violations and list(part) == records[s]
+        assert np.array_equal(record_bits(violations), record_bits(records))
+
+    def test_columns_are_read_only_float64(self):
+        violations = mutant_violations((0.3, 1.5, -1.5, 1.5), 1, 900)
+        for name in ("x1", "x2", "eta", "fddot", "observed", "required"):
+            col = getattr(violations, name)
+            assert col.dtype == np.float64 and col.shape == (len(violations),)
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            violations.x1 = np.zeros(len(violations))
+        # The columns are copies: a caller's array cannot change the result.
+        col = np.arange(3.0)
+        own = Violations(col, col, col, col, col, col)
+        col[0] = 7.0
+        assert own.x1.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="equal length"):
+            Violations(col, col, col, col, col, col[:2])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Violations(*[np.zeros((2, 2))] * 6)
+
+    def test_clean_result_is_empty(self):
+        clean = verify_decrease(P_REF, N_SMALL, GridSpec(-2.0, 2.0, -2.0, 2.0, 50, 50))
+        assert len(clean) == 0 and not clean and list(clean) == []
+        for col in (clean.x1, clean.x2, clean.eta, clean.fddot, clean.observed, clean.required):
+            assert col.dtype == np.float64 and col.shape == (0,)
+        assert violations_digest(clean) == violations_digest([])
+
+    def test_csv_is_the_same_from_the_result_and_its_records(self):
+        violations = mutant_violations((-1.5, 1.5, -1.5, 1.5), 401, 397)
+        assert violations_digest(violations) == violations_digest(list(violations))
+
+    # The records are built when read, not by the certifier: before, the
+    # 400x400 mutant probe made about 105k tracked objects, which set off
+    # about 150 cyclic collections during the call.
+    def test_mutant_probe_sets_off_no_collection_storm(self):
+        gamma = decay_rate_gamma(P_REF).gamma
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            violations = verify_decrease(P_MUTANT, N_SMALL, GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400), gamma=gamma)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(starts) <= 5
+        assert len(violations) == 52676
+        v = violations[-1]
+        assert type(v) is DecreaseViolation and type(v.state) is ErrorState
+        assert all(type(v) is DecreaseViolation and type(v.state) is ErrorState for v in violations)
