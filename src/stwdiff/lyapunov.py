@@ -27,7 +27,9 @@ from .params import NoiseLevel, Params, error_upper_bound
 W1, W2, W3 = "W1", "W2", "W3"
 
 # States per certifier block; peak memory scales with this, not with the grid.
-_BLOCK_STATES = 1 << 12
+# Larger blocks make fewer numpy calls; at 2**14 the clean 1500x1500 pass
+# holds about 1.5 MB (53 bytes a state in the workspace, 265 a kept state).
+_BLOCK_STATES = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,63 +262,93 @@ def decay_rate_gamma(p: Params) -> GammaReport:
     )
 
 
-def _wdot_branches(z1, z2, eta, fddots, p: Params):
+def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     """Directional derivatives of the three branches of W along the error dynamics.
 
     Operates in the mirrored frame; `eta` and each of `fddots` must already
     be mirrored disturbances.  Yields one (W1, W2, W3) triple per fddot;
-    the terms that do not depend on fddot are computed once.
+    the terms that do not depend on fddot are computed once.  With `out`,
+    five arrays of the broadcast shape, nothing is allocated: each triple is
+    written into its first three, and eta and one fddot may be out[0], out[1].
     """
     k1, k2 = p.injection_gains
     lam2p1L = (p.lambda2 + 1.0) * p.L
-    arg = z1 - eta
-    sign = np.sign(arg)
-    dz1, push = -k1 * sign * np.sqrt(np.abs(arg)) + z2, -k2 * sign
+    w1, w2, w3, dz1, push = (None,) * 5 if out is None else out
+    arg = np.subtract(z1, eta, out=w1)
+    sign = np.sign(arg, out=push)
+    root = np.sqrt(np.abs(arg, out=w1), out=w1)
+    # dz1 = -k1 sign sqrt|z1 - eta| + z2 and push = -k2 sign.
+    dz1 = np.add(np.multiply(np.multiply(sign, -k1, out=dz1), root, out=dz1), z2, out=dz1)
+    push = np.multiply(sign, -k2, out=push)
     for fddot in fddots:
-        q = z2 * (push - fddot)
-        yield q / (p.alpha * lam2p1L) - dz1, q / (2.0 * p.alpha * lam2p1L), dz1 - q / lam2p1L
+        q = np.multiply(z2, np.subtract(push, fddot, out=w2), out=w2)
+        r1 = np.subtract(np.divide(q, p.alpha * lam2p1L, out=w1), dz1, out=w1)
+        r3 = np.subtract(dz1, np.divide(q, lam2p1L, out=w3), out=w3)
+        yield r1, np.divide(q, 2.0 * p.alpha * lam2p1L, out=w2), r3
 
 
 # The columns of a block without a failing sample.
 _NO_VIOLATIONS = (np.empty(0),) * 6
 
 
-def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
-    """Check one block of grid states; returns its failing samples in block order.
+def _screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
+    """Flat indices of the states of rows x1r that need the per-sample pass.
 
-    The states that the screen does not clear get the per-sample pass: each
-    eta slot and fddot is evaluated over its rows (all for a corner, the
-    in-band ones for a straddling slot), and every branch derivative is
+    Kept are the active states (V > N + margin) that fail at the peak of
+    their branch (see verify_decrease), lie in the noise band, or lie within
+    eps_cell of a threshold (checked on both adjacent branches).  `cols`
+    holds the grid's column terms, and every block-sized array is a view of
+    the workspace `floats` and `flags`.
+    """
+    N, L = n.N, p.L
+    msign, z2, t1, two_t1, t2, neg_h, eps_cell = cols
+    z1, w1, w2, w3, dz1, push = floats[:, : x1r.size]
+    le1, le2, active, keep, scratch = flags[:, : x1r.size]
+    np.multiply(x1r[:, None], msign, out=z1)
+    np.less_equal(z1, t1, out=le1)
+    np.less_equal(z1, t2, out=le2)
+    np.less_equal(np.abs(np.subtract(z1, t1, out=w1), out=w1), eps_cell, out=keep)
+    keep |= np.less_equal(np.abs(np.subtract(z1, t2, out=w1), out=w1), eps_cell, out=scratch)
+    # W1 peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L and W3 at (N, L).
+    w1.fill(N)
+    np.copyto(w1, -N, where=le1)
+    w2.fill(L)
+    np.copyto(w2, -L, where=le2)
+    ((r1, r2, worst),) = _wdot_branches(z1, z2, w1, (w2,), p, out=(w1, w2, w3, dz1, push))
+    np.copyto(worst, r2, where=le2)
+    np.copyto(worst, r1, where=le1)
+    # V over its W3 value z1 - z2^2 / (2 (lambda2+1) L), which is z1 + neg_h.
+    v = np.add(z1, neg_h, out=w1)
+    np.copyto(v, t1, where=le2)
+    np.subtract(two_t1, z1, out=v, where=le1)
+    np.greater(v, N + margin, out=active)
+    # The required rate -gamma sqrt(V - N) of the active states.
+    required = np.subtract(v, N, out=w1)
+    np.sqrt(required, out=required, where=active)
+    np.multiply(required, -gamma, out=required, where=active)
+    if not np.isfinite(required, out=scratch).all():
+        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
+    keep |= np.greater(worst, np.add(required, tolerance, out=w1), out=scratch)
+    keep[np.abs(x1r) <= N] = True
+    return np.flatnonzero(np.logical_and(keep, active, out=keep))
+
+
+def _verify_states(p, n, gamma, tolerance, x1v, x2v):
+    """Check active grid states sample by sample; returns their failing samples in order.
+
+    Each eta slot and fddot is evaluated over its rows (all for a corner,
+    the in-band ones for a straddling slot), and every branch derivative is
     folded into the observed rate, in branch order, where that branch
     applies.  The failing samples are then gathered and ordered by (state,
     eta slot, fddot) into the six columns of `Violations`.
     """
     N, L = n.N, p.L
     z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
-    idx = np.flatnonzero(v > N + margin)
-    if idx.size < v.size:
-        z1, z2, t1, t2, v = z1[idx], z2[idx], t1[idx], t2[idx], v[idx]
     required = -gamma * np.sqrt(v - N)
-    if not np.isfinite(required).all():
-        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
     limit = required + tolerance
-    # States within eps_cell of a threshold are checked on both adjacent
-    # branches, so they go on to the per-sample pass, as in-band states do.
     le1, le2 = z1 <= t1, z1 <= t2
     eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
     near_t1, near_t2 = np.abs(z1 - t1) <= eps_cell, np.abs(z1 - t2) <= eps_cell
-    del t1, t2, v, eps_cell  # fewer live arrays keep blocks off glibc's heap-trim path
-    # Screen each state at the peak of the branch it lies in (exact outside
-    # the noise band; see verify_decrease).
-    ((w1, w2, w3),) = _wdot_branches(z1, z2, np.where(le1, -N, N), (np.where(le2, -L, L),), p)
-    worst = np.where(le1, w1, np.where(le2, w2, w3))
-    go = np.flatnonzero((worst > limit) | near_t1 | near_t2 | (np.abs(z1) <= N))
-    if go.size == 0:
-        return _NO_VIOLATIONS
-    del w1, w2, w3, worst
-    idx, z1, z2, required, limit, le1, le2, near_t1, near_t2 = (
-        a[go] for a in (idx, z1, z2, required, limit, le1, le2, near_t1, near_t2)
-    )
     checks = (le1 | near_t1, (~le1 & le2) | near_t1 | near_t2, ~(le1 | le2) | near_t2)
 
     # Only in-band states get the two eta values straddling z1.
@@ -354,7 +386,7 @@ def _verify_chunk(p, n, gamma, margin, tolerance, x1v, x2v):
     order = np.lexsort((k, slot, j))
     j, e, g = j[order], e[order], np.array((-L, L))[k[order]]
     # Report in the original (unmirrored) coordinates.
-    x1r, x2r = x1v[idx[j]], x2v[idx[j]]
+    x1r, x2r = x1v[j], x2v[j]
     mir = x2r < 0
     return x1r, x2r, np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j]
 
@@ -387,13 +419,12 @@ def verify_decrease(
     passing `gamma` explicitly skips that requirement (mutation probes).
     Raises ValueError when `gamma`, `margin` or `tolerance` is not finite,
     when `margin` is negative, and when V or the required rate is not
-    finite at a tested state.  The grid is checked in blocks of whole rows
-    (about 2**12 states, so a block's arrays stay near 0.4 MB in all),
-    walked in increasing grid index.  Each block orders its own failing
-    samples, so the result is ordered by grid index, then eta slot (corners
-    first), then fddot (-L before L), with no global sort.  It is a
-    `Violations`: the samples' six float64 columns, concatenated once, whose
-    `DecreaseViolation` records are built only when read.
+    finite at a tested state.  The grid is screened in blocks of whole rows
+    (about 2**13 states) in a workspace allocated once per call, and the
+    kept states are evaluated at most 2**10 at a time, in grid order.  The
+    result is ordered by grid index, then eta slot (corners first), then
+    fddot (-L before L).  It is a `Violations`: the samples' six float64
+    columns, whose `DecreaseViolation` records are built only when read.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
@@ -401,24 +432,34 @@ def verify_decrease(
         raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
-    x1s, x2s = grid.axes()
-    rows = max(1, _BLOCK_STATES // grid.n2)
-    chunks = []
+    (x1s, x2s), n2 = grid.axes(), grid.n2
+    rows, batch = min(grid.n1, max(1, _BLOCK_STATES // n2)), max(1, _BLOCK_STATES // 8)
+    chunks = [_NO_VIOLATIONS]
     # An overflow shows as a non-finite V or required rate, which raises.
     with np.errstate(over="ignore"):
+        # The column terms; -0.0 - h is -h exactly, so z1 + neg_h is z1 - h.
+        flip = x2s < 0
+        z2 = np.where(flip, -x2s, x2s)
+        t1, t2, neg_h = _levels(-0.0, z2, p)
+        cols = np.where(flip, -1.0, 1.0), z2, t1, 2.0 * t1, t2, neg_h, 1e-9 * np.maximum(1.0, np.abs(t2))
+        ws = np.empty((6, rows, n2)), np.empty((5, rows, n2), dtype=bool)
         for r0 in range(0, grid.n1, rows):
-            x1v = np.repeat(x1s[r0 : r0 + rows], grid.n2)
-            chunks.append(_verify_chunk(p, n, gamma, margin, tolerance, x1v, np.tile(x2s, x1v.size // grid.n2)))
-    # A grid has at least one row, so there is at least one block to join.
-    return Violations(*map(np.concatenate, zip(*chunks)))
+            x1r = x1s[r0 : r0 + rows]
+            kept = _screen(p, n, gamma, margin, tolerance, x1r, cols, *ws)
+            # An eighth of a block at a time: the pass holds ~33 arrays per state.
+            for g in (kept[s : s + batch] for s in range(0, kept.size, batch)):
+                chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // n2], x2s[g % n2]))
+        del ws  # released before the join, the call's peak; so are the chunks
+    columns = [np.concatenate(c) for c in zip(*chunks)]
+    del chunks
+    return Violations(*columns)
 
 
 def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> None:
     """Emit violations (a `Violations` result or any records) as CSV with
-    header x1,x2,eta,fddot,observed,required."""
+    header x1,x2,eta,fddot,observed,required; records become columns first."""
+    if not isinstance(violations, Violations):
+        rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
+        violations = Violations(*np.array(rows, dtype=np.float64).reshape(-1, 6).T)
     fileobj.write("x1,x2,eta,fddot,observed,required\n")
-    for rec in violations:
-        fileobj.write(
-            f"{rec.state.x1!r},{rec.state.x2!r},{rec.eta!r},{rec.fddot!r},"
-            f"{rec.observed_rate!r},{rec.required_rate!r}\n"
-        )
+    fileobj.writelines(map("%r,%r,%r,%r,%r,%r\n".__mod__, zip(*(c.tolist() for c in violations._columns()))))

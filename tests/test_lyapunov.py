@@ -3,8 +3,13 @@ import functools
 import gc
 import hashlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import stwdiff
 from stwdiff import (
     ErrorState,
     GridSpec,
@@ -27,6 +33,7 @@ from stwdiff import (
     validate_condition,
     verify_decrease,
 )
+from stwdiff import lyapunov
 from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, _wdot_branches, write_violations_csv
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
@@ -70,6 +77,11 @@ def record_bits(violations):
     """Each record's six floats as raw float64 bit patterns (so -0.0 != 0.0)."""
     rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
     return np.array(rows, dtype=float).reshape(-1, 6).view(np.uint64)
+
+
+def column_bits(v):
+    """The six columns of a `Violations` as raw float64 bit patterns."""
+    return np.stack([v.x1, v.x2, v.eta, v.fddot, v.observed, v.required]).view(np.uint64)
 
 
 def finite(lo, hi):
@@ -494,6 +506,106 @@ class TestVerifyDecrease:
             tracemalloc.stop()
         assert peak - before < 1_000_000
 
+    # The result does not depend on the block size: one row per block with
+    # rows longer than a block, a size whose last block is partial (where
+    # the screen works on the first rows of its workspace only), one block
+    # for the whole grid, and the default.  The smaller sizes also cut the
+    # per-sample pass into batches of a few states.  The grids: the
+    # benchmark's mutant probe, one whose in-band rows include x1 = -N and
+    # x1 = +N exactly, and a 1 x n and an n x 1 grid.
+    @pytest.mark.parametrize(
+        "p, n, box, n1, n2, gamma",
+        [
+            (P_MUTANT, N_SMALL, (-3.0, 3.0, -3.0, 3.0), 400, 400, None),
+            (P_REF, NoiseLevel(0.25), (-1.0, 1.0, -1.0, 1.0), 9, 33, 20.0),
+            (P_MUTANT, N_SMALL, (0.3, 1.5, -1.5, 1.5), 1, 900, None),
+            (P_MUTANT, N_SMALL, (-1.5, 1.5, -1.5, 1.5), 300, 1, None),
+        ],
+    )
+    def test_result_does_not_depend_on_the_block_size(self, monkeypatch, p, n, box, n1, n2, gamma):
+        gamma = decay_rate_gamma(P_REF).gamma if gamma is None else gamma
+        grid = GridSpec(*box, n1, n2)
+        partial = next(r for r in (2, 3, 4, 5, 6, 7) if n1 % r or n1 == 1)
+        sizes = (max(1, n2 // 2), partial * n2 + n2 // 2, n1 * n2, lyapunov._BLOCK_STATES)
+        results = []
+        for size in sizes:
+            monkeypatch.setattr(lyapunov, "_BLOCK_STATES", size)
+            results.append(verify_decrease(p, n, grid, gamma=gamma))
+        assert len(results[-1]) > 0
+        for got in results[:-1]:
+            assert np.array_equal(column_bits(got), column_bits(results[-1]))
+        assert_oracle_filtered(results[-1], oracles.verify_decrease_four_slot(p, n, grid, gamma), n)
+
+    # The screen evaluates V and the required rate on its workspace from the
+    # grid's column terms; both are `_thresholds_grid`'s bit for bit.  N is
+    # the smallest positive V on the grid and the margin is 0, so nearly all
+    # states are active and some sit exactly on the boundary V = N + margin.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_screen_value_and_required_rate_are_the_array_forms(self, monkeypatch, seed):
+        rng = np.random.default_rng([seed, 23])
+        p = Params(*rng.uniform((0.5, 0.2, 0.1, 1.01), (8.0, 4.0, 5.0, 4.0)).tolist())
+        grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 41, 33)
+        x1s, x2s = grid.axes()
+        values = evaluate_grid(*np.meshgrid(x1s, x2s), p)
+        n = NoiseLevel(float(values[values > 0].min()))
+        gamma = float(rng.uniform(0.1, 10.0))
+        seen, screen = [], lyapunov._screen
+
+        def spy(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
+            kept = screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags)
+            # The active mask and, with tolerance 0, the required rate.
+            seen.append((x1r, flags[2, : x1r.size].ravel().copy(), floats[1, : x1r.size].ravel().copy()))
+            return kept
+
+        monkeypatch.setattr(lyapunov, "_screen", spy)
+        monkeypatch.setattr(lyapunov, "_BLOCK_STATES", 5 * grid.n2)
+        verify_decrease(p, n, grid, gamma=gamma, margin=0.0, tolerance=0.0)
+        assert len(seen) == 9
+        on_boundary = 0
+        for x1r, active, required in seen:
+            v = _thresholds_grid(np.repeat(x1r, grid.n2), np.tile(x2s, x1r.size), p)[4]
+            assert np.array_equal(active, v > n.N)
+            on_boundary += np.count_nonzero(v == n.N)
+            expected = -gamma * np.sqrt(v[active] - n.N)
+            assert np.array_equal(required[active].view(np.uint64), expected.view(np.uint64))
+        assert on_boundary > 0
+
+    # verify_decrease keeps nothing between calls.  Clean and mutant grids
+    # of different row lengths, run back to back and interleaved, give the
+    # columns that the same calls give in a fresh process.
+    def test_calls_keep_no_state(self):
+        gamma = decay_rate_gamma(P_REF).gamma
+        ref, mutant = dataclasses.astuple(P_REF), dataclasses.astuple(P_MUTANT)
+        cases = [
+            (ref, 0.01, (-3.0, 3.0, -3.0, 3.0), 200, 1501, None),
+            (mutant, 0.01, (-3.0, 3.0, -3.0, 3.0), 400, 400, gamma),
+            (mutant, 0.01, (-1.5, 1.5, -1.5, 1.5), 3, 70000, gamma),
+            (ref, 0.01, (-2.0, 2.0, -2.0, 2.0), 120, 130, None),
+            (mutant, 0.01, (0.3, 1.5, -1.5, 1.5), 1, 900, gamma),
+            (mutant, 0.01, (-1.5, 1.5, -1.5, 1.5), 401, 397, gamma),
+        ]
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from stwdiff import GridSpec, NoiseLevel, Params, verify_decrease\n"
+            "for gains, N, box, n1, n2, gamma in json.loads(sys.argv[1]):\n"
+            "    v = verify_decrease(Params(*gains), NoiseLevel(N), GridSpec(*box, n1, n2), gamma=gamma)\n"
+            "    cols = np.stack([v.x1, v.x2, v.eta, v.fddot, v.observed, v.required])\n"
+            "    print(hashlib.sha256(cols.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(stwdiff.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(cases)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert res.returncode == 0, res.stderr
+        fresh = res.stdout.split()
+        assert len(fresh) == len(cases)
+        for i in [*range(len(cases)), *reversed(range(len(cases))), 1, 0, 2, 3, 4, 1, 5, 0, 5]:
+            gains, N, box, n1, n2, gamma = cases[i]
+            v = verify_decrease(Params(*gains), NoiseLevel(N), GridSpec(*box, n1, n2), gamma=gamma)
+            assert hashlib.sha256(column_bits(v).tobytes()).hexdigest() == fresh[i]
+
     # One-state grids checked with a gamma so large that every (eta, fddot)
     # sample fails, so every sample is written out: states exactly on t1 and
     # t2 (both adjacent branch derivatives), at x1 = +N and x1 = -N (eta
@@ -605,7 +717,9 @@ class TestViolations:
 
     def test_csv_is_the_same_from_the_result_and_its_records(self):
         violations = mutant_violations((-1.5, 1.5, -1.5, 1.5), 401, 397)
-        assert violations_digest(violations) == violations_digest(list(violations))
+        digest = violations_digest(violations)
+        assert violations_digest(list(violations)) == digest
+        assert violations_digest(iter(list(violations))) == digest
 
     # The records are built when read, not by the certifier: before, the
     # 400x400 mutant probe made about 105k tracked objects, which set off
