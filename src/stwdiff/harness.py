@@ -99,31 +99,55 @@ def _finalize(ts, us, fs, fds, y1s, y2s, p: Params) -> TrajectoryRecord:
 
 # Step k reads sample k + 1 (implicit) or sample k (explicit).
 _STEP_INPUTS = {stw.IMPLICIT: slice(1, None), stw.EXPLICIT: slice(None, -1)}
-# Steps between restarts of the error system's discrete reference.
-_ERROR_BLOCK_STEPS = 1024
+# Steps per block: the loop stores its states a block at a time, and the
+# error system restarts its discrete reference once per block.
+_BLOCK_STEPS = 1024
 
 
 def _integrate(cfg: SimConfig, us: np.ndarray, y1: float, y2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Differentiator states (y1s, y2s) on the inputs `us`, starting from (y1, y2)."""
+    """Differentiator states (y1s, y2s) on the inputs `us`, starting from (y1, y2).
+
+    Each step is one call of the scheme's update on plain floats.  A block's
+    states collect in two lists and go into the arrays in one slice store
+    each, which is cheaper than two numpy scalar stores per step and, unlike
+    whole-run lists, holds at most one block of states as Python floats.
+    """
     dt = cfg.scheme.dt
     k1, k2 = cfg.params.injection_gains
     update = stw.implicit_update if cfg.scheme.kind == stw.IMPLICIT else stw.explicit_update
+    inputs = us[_STEP_INPUTS[cfg.scheme.kind]]
     y1s, y2s = np.empty(len(us)), np.empty(len(us))
     y1s[0], y2s[0] = y1, y2
-    for k, u in enumerate(us[_STEP_INPUTS[cfg.scheme.kind]].tolist(), 1):
-        y1, y2 = update(y1, y2, u, dt, k1, k2)
-        y1s[k], y2s[k] = y1, y2
+    for lo in range(0, len(inputs), _BLOCK_STEPS):
+        b1, b2 = [], []
+        for u in inputs[lo : lo + _BLOCK_STEPS].tolist():
+            y1, y2 = update(y1, y2, u, dt, k1, k2)
+            b1.append(y1)
+            b2.append(y2)
+        y1s[lo + 1 : lo + 1 + len(b1)] = b1
+        y2s[lo + 1 : lo + 1 + len(b2)] = b2
     return y1s, y2s
+
+
+def _require_finite(ts: np.ndarray, **cols: np.ndarray) -> None:
+    """Raise ValueError naming the first of `cols` with a non-finite sample, and that sample's time."""
+    for name, col in cols.items():
+        finite = np.isfinite(col)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"{name} must be finite, got {col[k]} at t={ts[k]}")
 
 
 def simulate(cfg: SimConfig, pair: SignalPair) -> TrajectoryRecord:
     """Run the differentiator on u = f + eta from the standard initialization.
 
     The inputs come from one call of `pair.sample` over the whole time grid.
+    Raises ValueError if f, fdot or u is not finite at some sample.
     """
     ts = np.arange(cfg.steps + 1) * cfg.scheme.dt
     fs, fds, etas = pair.sample(ts)
     us = fs + etas
+    _require_finite(ts, f=fs, fdot=fds, u=us)
     y1s, y2s = _integrate(cfg, us, float(us[0]), 0.0)
     return _finalize(ts, us, fs, fds, y1s, y2s, cfg.params)
 
@@ -140,21 +164,23 @@ def simulate_error_system(
     reference whose second difference is fddot, sampled as the scheme samples
     u.  Both schemes are unchanged by adding c + d t to u and y1 and d to y2,
     so the reference restarts from (0, 0) at the current x every
-    `_ERROR_BLOCK_STEPS` steps and x carries only one block's rounding.
+    `_BLOCK_STEPS` steps and x carries only one block's rounding.
     Default initial state is (eta(0), 0); pass `x0` for Lyapunov studies.
     The record reuses the trajectory layout with f = fdot = 0, u = eta, and
-    (y1, y2) holding the error coordinates.
+    (y1, y2) holding the error coordinates.  Raises ValueError if eta or
+    fddot is not finite at some sample.
     """
     dt = cfg.scheme.dt
     n = cfg.steps
     ts = np.arange(n + 1) * dt
 
     ets, gts = sample_each(eta, ts), sample_each(fddot, ts)
+    _require_finite(ts, eta=ets, fddot=gts)
     read = _STEP_INPUTS[cfg.scheme.kind]
     x1s, x2s = np.empty(n + 1), np.empty(n + 1)
     x1s[0], x2s[0] = (ets[0], 0.0) if x0 is None else (x0.x1, x0.x2)
-    for lo in range(0, n, _ERROR_BLOCK_STEPS):
-        hi = min(lo + _ERROR_BLOCK_STEPS, n) + 1
+    for lo in range(0, n, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, n) + 1
         fds = np.concatenate(([0.0], np.cumsum(dt * gts[lo:hi][read])))
         fs = np.concatenate(([0.0], np.cumsum(dt * fds[read])))
         y1s, y2s = _integrate(cfg, fs + ets[lo:hi], float(x1s[lo]), float(x2s[lo]))

@@ -31,8 +31,15 @@ SampleFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def sample_each(fn: TimeFn, ts: np.ndarray) -> np.ndarray:
-    """The scalar evaluator `fn` at every time of `ts`, one Python float at a time."""
-    return np.fromiter(map(fn, map(float, ts)), dtype=float, count=ts.size)
+    """The scalar evaluator `fn` at every time of `ts`, one Python float at a time.
+
+    `fn` is called once per time, in order, with a `float` whatever the real
+    dtype, strides or byte order of `ts`: the times are read as native
+    float64 through a memoryview, which yields floats without boxing numpy
+    scalars.
+    """
+    times = memoryview(np.asarray(ts, dtype=np.float64))
+    return np.fromiter(map(fn, times), dtype=float, count=len(times))
 
 
 @dataclass

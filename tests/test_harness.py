@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from stwdiff import (
+    DiffState,
     ErrorState,
     NoiseLevel,
     Params,
@@ -54,6 +55,18 @@ def random_admissible_params(rng):
     lam2 = float(rng.uniform(1.05, 3.0))
     iv = lambda1_range(lam2, 4.0)
     return Params(iv.lo + float(rng.uniform(0.1, 0.9)) * (iv.hi - iv.lo), lam2, float(rng.uniform(0.2, 5.0)), 4.0)
+
+
+# Step counts on both sides of one and two block edges of the harness loop.
+B = harness._BLOCK_STEPS
+BLOCK_EDGES = [1, B - 1, B, B + 1, 2 * B + 1]
+
+
+def assert_states_equal(rec, states):
+    """The record's (y1, y2) columns are the stepped states, bit for bit."""
+    for name in ("y1", "y2"):
+        stepped = np.array([getattr(s, name) for s in states])
+        assert np.array_equal(getattr(rec, name).view(np.uint64), stepped.view(np.uint64)), name
 
 
 def discrete_reference(kind, dt, n, g_fn, fdot0=0.0, f0=0.0):
@@ -184,6 +197,35 @@ class TestSimulate:
                 assert np.array_equal(getattr(rec, name).view(np.uint64), stepped.view(np.uint64)), (p, name)
 
     @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    def test_block_stores_match_repeated_steps_bit_for_bit(self, kind, steps):
+        # The loop stores its states a block at a time; step counts on both
+        # sides of a block edge pin every slice store to the step API.
+        step = step_implicit if kind == "implicit" else step_explicit
+        p = random_admissible_params(np.random.default_rng(steps))
+        scheme = StepScheme(kind, 1e-3)
+        pair = parse_pair("quadratic:sign=1", "switching", p.L, 0.01)
+        rec = simulate(SimConfig(scheme, steps * scheme.dt, p, N_REF), pair)
+        inputs = rec.u[1:] if kind == "implicit" else rec.u[:-1]
+        states = [init(float(rec.u[0]))]
+        for u in inputs.tolist():
+            states.append(step(states[-1], u, scheme, p))
+        assert_states_equal(rec, states)
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    @pytest.mark.parametrize("run", [simulate, simulate_error_system])
+    def test_non_finite_samples_rejected(self, kind, run):
+        # The step API refuses a NaN sample; a whole run refuses it too,
+        # instead of returning NaN states.
+        eta = lambda t: math.nan if t > 0.004 else 0.0
+        cfg = SimConfig(StepScheme(kind, 1e-3), 0.01, P_REF, N_REF)
+        with pytest.raises(ValueError, match="finite"):
+            if run is simulate:
+                run(cfg, SignalPair(lambda t: 0.0, lambda t: 0.0, None, eta, 1.0, 0.01, "late NaN noise"))
+            else:
+                run(cfg, eta, lambda t: 0.0)
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
     @pytest.mark.parametrize(
         "pair",
         [
@@ -272,6 +314,37 @@ class TestErrorSystemEquivalence:
             assert np.array_equal(rec.u, [eta(t) for t in rec.t])
             assert not rec.f.any() and not rec.fdot.any()
             assert np.array_equal(rec.error, rec.y2)
+
+    @pytest.mark.parametrize("kind", ["implicit", "explicit"])
+    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    def test_restarts_match_repeated_steps_bit_for_bit(self, kind, steps):
+        # Every B steps the reference (f, fdot) restarts from (0, 0) at the
+        # current error, so y = x there; within a block the differentiator
+        # steps on u = f + eta and the record holds x = (y1 - f, y2 - fdot).
+        step = step_implicit if kind == "implicit" else step_explicit
+        rng = np.random.default_rng(steps)
+        p = random_admissible_params(rng)
+        dt = 1e-3
+        scheme = StepScheme(kind, dt)
+        eta = piecewise_constant(int(rng.integers(1000)), N_REF.N, 0.013, (steps + 1) * dt)
+        g = piecewise_constant(int(rng.integers(1000)), p.L, 0.017, (steps + 1) * dt)
+        rec = simulate_error_system(SimConfig(scheme, steps * dt, p, N_REF), eta, g, ErrorState(0.3, -0.2))
+        es = [eta(k * dt) for k in range(steps + 1)]
+        gs = [g(k * dt) for k in range(steps + 1)]
+        xs = [DiffState(0.3, -0.2)]
+        for k in range(steps):
+            if k % B == 0:
+                s, f, fd = xs[-1], 0.0, 0.0
+            if kind == "implicit":
+                fd = fd + dt * gs[k + 1]
+                f = f + dt * fd
+                s = step(s, f + es[k + 1], scheme, p)
+            else:
+                s = step(s, f + es[k], scheme, p)
+                f = f + dt * fd
+                fd = fd + dt * gs[k]
+            xs.append(DiffState(s.y1 - f, s.y2 - fd))
+        assert_states_equal(rec, xs)
 
     def test_zero_disturbances_zero_state(self):
         cfg = SimConfig(StepScheme("implicit", 1e-3), 0.2, P_REF, NoiseLevel(0.0))

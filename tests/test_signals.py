@@ -16,6 +16,7 @@ from stwdiff import (
     switching_noise,
     worst_case_pair,
 )
+from stwdiff.signals import sample_each
 
 SPEC = WorstCaseSpec(tau=1.0, lambda2=1.1, N=0.01, L=1.0)
 
@@ -349,6 +350,31 @@ def switching_grid(c1, c2):
     k = np.arange(0, 400)
     edges = np.concatenate([k * c1, k * c1 + c2, [10.0 * c1]])
     return np.concatenate([np.arange(4000) * 5e-5, edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0)])
+
+
+class TestSampleEach:
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            np.linspace(0.0, 2.0, 41),
+            np.arange(41, dtype=np.int64),
+            np.linspace(0.0, 2.0, 121)[::3],
+            np.linspace(0.0, 2.0, 41).astype(">f8"),
+        ],
+        ids=["float64", "int64", "strided", "big-endian"],
+    )
+    def test_one_float_call_per_time_in_order(self, ts):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return math.sin(t) + 0.5 * t
+
+        out = sample_each(fn, ts)
+        assert [type(t) for t in calls] == [float] * ts.size
+        assert calls == [float(t) for t in ts]
+        want = np.array([fn(float(t)) for t in ts])
+        assert out.dtype == np.float64 and np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 class TestArraySampling:
