@@ -30,16 +30,22 @@ EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DiffState:
     """Differentiator state: y1 estimates the signal, y2 its derivative."""
 
     y1: float
     y2: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.y1) and math.isfinite(self.y2)):
-            raise ValueError(f"state must be finite, got ({self.y1}, {self.y2})")
+    def __init__(self, y1: float, y2: float):
+        if not (math.isfinite(y1) and math.isfinite(y2)):
+            raise ValueError(f"state must be finite, got ({y1}, {y2})")
+        _set_y1(self, y1)
+        _set_y2(self, y2)
+
+
+# The slots' own setters: they store past the frozen __setattr__, cheaply.
+_set_y1, _set_y2 = DiffState.y1.__set__, DiffState.y2.__set__
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,10 @@ class Violations(Sequence):
     required: np.ndarray
 
     def __post_init__(self):
-        cols = [np.array(c, dtype=np.float64) for c in self._columns()]
+        self._adopt([np.array(c, dtype=np.float64) for c in self._columns()])
+
+    def _adopt(self, cols):
+        """Check the float64 arrays' shapes, then keep them, uncopied, as read-only columns."""
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise ValueError("violation columns must be one-dimensional and of equal length")
         for f, c in zip(fields(self), cols):
@@ -449,10 +452,10 @@ def verify_decrease(
             # An eighth of a block at a time: the pass holds ~33 arrays per state.
             for g in (kept[s : s + batch] for s in range(0, kept.size, batch)):
                 chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // n2], x2s[g % n2]))
-        del ws  # released before the join, the call's peak; so are the chunks
-    columns = [np.concatenate(c) for c in zip(*chunks)]
-    del chunks
-    return Violations(*columns)
+        del ws  # released before the join, the call's peak
+    result = object.__new__(Violations)  # the join is its own: adopted, not copied
+    result._adopt([np.concatenate(c) for c in zip(*chunks)])
+    return result
 
 
 def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,17 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             step(DiffState(0.2, -0.1), bad, scheme, P_REF)
 
+    # The update itself overflows here, from finite inputs: the new state's
+    # own check refuses it.
+    @pytest.mark.parametrize(
+        "step, kind, state",
+        [(step_implicit, "implicit", DiffState(0.0, 1.7e308)), (step_explicit, "explicit", DiffState(1.7e308, 1.7e308))],
+        ids=["implicit", "explicit"],
+    )
+    def test_step_that_overflows_raises(self, step, kind, state):
+        with pytest.raises(ValueError, match=re.escape("state must be finite, got (inf, 1.7e+308)")):
+            step(state, 0.0, StepScheme(kind, 0.5), P_REF)
+
     def test_state_is_frozen(self):
         s = DiffState(0.25, -1.5)
         for name in ("y1", "y2"):
@@ -54,6 +66,20 @@ class TestTypes:
         s = DiffState(0.25, -1.5)
         assert not hasattr(s, "__dict__")
         assert DiffState.__slots__ == ("y1", "y2")
+
+    def test_state_constructor_keeps_the_dataclass_contract(self):
+        s = DiffState(y1=0.25, y2=-1.5)
+        assert s == DiffState(0.25, -1.5) and repr(s) == "DiffState(y1=0.25, y2=-1.5)"
+        assert DiffState.__match_args__ == ("y1", "y2")
+        assert [f.name for f in dataclasses.fields(DiffState)] == ["y1", "y2"]
+        for args in ((), (0.25,), (0.25, -1.5, 0.0)):
+            with pytest.raises(TypeError):
+                DiffState(*args)
+        with pytest.raises(ValueError) as direct:
+            DiffState(math.nan, -1.5)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(s, y1=math.nan)
+        assert str(replaced.value) == str(direct.value) == "state must be finite, got (nan, -1.5)"
 
 
 class TestInit:
