@@ -15,20 +15,20 @@ produce spurious violations) against extreme admissible disturbances.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .params import NoiseLevel, Params, error_upper_bound
+from .params import NoiseLevel, Params, error_upper_bound, is_count
 
 W1, W2, W3 = "W1", "W2", "W3"
 
-# States per certifier block; peak memory scales with this, not with the grid.
-# Larger blocks make fewer numpy calls; at 2**14 the clean 1500x1500 pass
-# holds about 1.5 MB (53 bytes a state in the workspace, 265 a kept state).
+# States per certifier block; a block is whole rows, so peak memory scales
+# with this or with one row of the grid, whichever is larger.  Larger blocks
+# make fewer numpy calls; at 2**14 the clean 1500x1500 pass holds about
+# 1.5 MB (53 bytes a state in the workspace, 265 a kept state).
 _BLOCK_STATES = 1 << 13
 
 
@@ -150,12 +150,8 @@ class GridSpec:
         # An overflowing span would fill the axes with inf and nan.
         if not (math.isfinite(self.x1_max - self.x1_min) and math.isfinite(self.x2_max - self.x2_min)):
             raise ValueError("grid span must be finite")
-        try:
-            if isinstance(self.n1, bool) or isinstance(self.n2, bool):
-                raise TypeError
-            operator.index(self.n1), operator.index(self.n2)
-        except TypeError:
-            raise ValueError(f"grid counts must be integers, got {self.n1!r} and {self.n2!r}") from None
+        if not (is_count(self.n1) and is_count(self.n2)):
+            raise ValueError(f"grid counts must be integers, got {self.n1!r} and {self.n2!r}")
         if self.n1 < 1 or self.n2 < 1 or self.x1_min >= self.x1_max or self.x2_min >= self.x2_max:
             raise ValueError("grid must span a nonempty box with at least one point per axis")
 
@@ -268,11 +264,14 @@ def decay_rate_gamma(p: Params) -> GammaReport:
 def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     """Directional derivatives of the three branches of W along the error dynamics.
 
-    Operates in the mirrored frame; `eta` and each of `fddots` must already
-    be mirrored disturbances.  Yields one (W1, W2, W3) triple per fddot;
-    the terms that do not depend on fddot are computed once.  With `out`,
-    five arrays of the broadcast shape, nothing is allocated: each triple is
-    written into its first three, and eta and one fddot may be out[0], out[1].
+    Operates in the mirrored frame (z2 >= 0); `eta` and each of `fddots`
+    must already be mirrored disturbances.  Yields one (W1, W2, W3) triple
+    per fddot; the terms that do not depend on fddot are computed once.
+    Where z1 == eta the sign is set-valued, and each branch takes its worst
+    selection (-1 for W1 and W2, +1 for W3): its supremum as eta tends to
+    z1.  With `out`, five arrays of the broadcast shape, nothing is
+    allocated: each triple is written into its first three, and eta and one
+    fddot may be out[0], out[1]; that path, the screen's, takes sign(0) = 0.
     """
     k1, k2 = p.injection_gains
     lam2p1L = (p.lambda2 + 1.0) * p.L
@@ -283,10 +282,15 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     # dz1 = -k1 sign sqrt|z1 - eta| + z2 and push = -k2 sign.
     dz1 = np.add(np.multiply(np.multiply(sign, -k1, out=dz1), root, out=dz1), z2, out=dz1)
     push = np.multiply(sign, -k2, out=push)
+    # At the kink root = 0, so only the push depends on the selection.
+    push3 = push
+    if out is None and np.any(kink := arg == 0):
+        push, push3 = np.where(kink, k2, push), np.where(kink, -k2, push)
     for fddot in fddots:
         q = np.multiply(z2, np.subtract(push, fddot, out=w2), out=w2)
+        q3 = q if push3 is push else z2 * (push3 - fddot)
         r1 = np.subtract(np.divide(q, p.alpha * lam2p1L, out=w1), dz1, out=w1)
-        r3 = np.subtract(dz1, np.divide(q, lam2p1L, out=w3), out=w3)
+        r3 = np.subtract(dz1, np.divide(q3, lam2p1L, out=w3), out=w3)
         yield r1, np.divide(q, 2.0 * p.alpha * lam2p1L, out=w2), r3
 
 
@@ -336,41 +340,26 @@ def _screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
     return np.flatnonzero(np.logical_and(keep, active, out=keep))
 
 
-def _verify_states(p, n, gamma, tolerance, x1v, x2v):
+def _verify_states(p, n, gamma, tolerance, x1v, x2v, eps_cell):
     """Check active grid states sample by sample; returns their failing samples in order.
 
     Each eta slot and fddot is evaluated over its rows (all for a corner,
-    the in-band ones for a straddling slot), and every branch derivative is
-    folded into the observed rate, in branch order, where that branch
-    applies.  The failing samples are then gathered and ordered by (state,
-    eta slot, fddot) into the six columns of `Violations`.
+    the states strictly inside the band for eta = z1), and every branch
+    derivative is folded into the observed rate, in branch order, where that
+    branch applies (`eps_cell` is the states' column term).  The failing
+    samples are then gathered and ordered by (state, eta slot, fddot) into
+    the six columns of `Violations`.
     """
     N, L = n.N, p.L
     z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
     required = -gamma * np.sqrt(v - N)
     limit = required + tolerance
     le1, le2 = z1 <= t1, z1 <= t2
-    eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
     near_t1, near_t2 = np.abs(z1 - t1) <= eps_cell, np.abs(z1 - t2) <= eps_cell
     checks = (le1 | near_t1, (~le1 & le2) | near_t1 | near_t2, ~(le1 | le2) | near_t2)
-
-    # Only in-band states get the two eta values straddling z1.
-    band = np.flatnonzero(np.abs(z1) <= N)
-    eta_slots = [(slice(None), np.full_like(z1, -N)), (slice(None), np.full_like(z1, N))]
-    if band.size:
-        zb = z1[band]
-        delta = 1e-12 * np.maximum(np.abs(zb), max(1.0, N))
-        eta_slots += [(band, np.clip(zb - delta, -N, N)), (band, np.clip(zb + delta, -N, N))]
-    # Never evaluate exactly on the sign discontinuity: nudge eta into the
-    # admissible band so both extreme selections get exercised nearby.
-    for rows, e in eta_slots:
-        z = z1[rows]
-        hit = z - e == 0.0
-        if np.any(hit):
-            d = 1e-12 * np.maximum(np.abs(z), max(1.0, N))
-            down_ok = e - d >= -N
-            e[hit & down_ok] = (e - d)[hit & down_ok]
-            e[hit & ~down_ok] = (e + d)[hit & ~down_ok]
+    # The corners (one if N = 0), and the kink eta = z1 where it is not a corner.
+    band = np.flatnonzero(np.abs(z1) < N)
+    eta_slots = [(slice(None), np.full_like(z1, e)) for e in ((-N, N) if N else (N,))] + [(band, z1[band])]
 
     hits = []  # (state, slot, fddot index, eta, observed) of failing samples
     at = np.arange(z1.size)
@@ -405,34 +394,37 @@ def verify_decrease(
     """Certify V-dot <= -gamma sqrt(V - N) on the grid; returns every failing sample.
 
     Only states with V > N + margin are tested, each at fddot in {-L, L}
-    and at the corners eta in {-N, N}.  A state in the noise band
-    (|x1| <= N) also gets two eta values straddling x1 (nudged off x1
-    itself), so both signs of the discontinuous term are exercised.  Outside
-    the band the sign of x1 - eta is fixed, and in the mirrored frame W1
-    peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L for either eta, and
-    W3 at (N, L).  Every step after x1 - eta is monotone under rounding, so
-    a state's rate at the peak of its branch is exactly the largest of its
-    samples.  Each state is screened there first; only the states that
-    fail, those in the band and those within eps_cell of a region threshold
-    (checked on both adjacent branches) are then evaluated sample by
-    sample.  Each failing sample is reported once, except within about
-    1e-12 of a band edge, where a straddling eta is clipped or nudged onto
-    a corner's.  When `gamma` is omitted it is taken from
+    and at the corners eta in {-N, N}.  A state strictly inside the noise
+    band (|x1| < N) also gets eta = x1.  At eta = x1 (on a band edge, a
+    corner) the sign of x1 - eta is set-valued, and the record is its worst
+    selection, the supremum of the rate as eta tends to x1; on either side
+    of x1 each branch is monotone in eta.  Outside the band the sign of
+    x1 - eta is fixed, and in the mirrored frame W1 peaks at (eta, fddot)
+    = (-N, -L), W2 at fddot = -L for either eta, and W3 at (N, L).  Every
+    step after x1 - eta is monotone under rounding, so a state's rate at the
+    peak of its branch is exactly the largest of its samples.  Each state
+    is screened there first; only the states that fail, those in the band
+    and those within eps_cell of a region threshold (checked on both
+    adjacent branches) are then evaluated sample by sample.  Each failing
+    sample is reported once.  When `gamma` is omitted it is taken from
     :func:`decay_rate_gamma`, which requires the gain condition to hold;
     passing `gamma` explicitly skips that requirement (mutation probes).
     Raises ValueError when `gamma`, `margin` or `tolerance` is not finite,
-    when `margin` is negative, and when V or the required rate is not
-    finite at a tested state.  The grid is screened in blocks of whole rows
-    (about 2**13 states) in a workspace allocated once per call, and the
-    kept states are evaluated at most 2**10 at a time, in grid order.  The
-    result is ordered by grid index, then eta slot (corners first), then
-    fddot (-L before L).  It is a `Violations`: the samples' six float64
-    columns, whose `DecreaseViolation` records are built only when read.
+    when `gamma` or `margin` is negative, and when V or the required rate
+    is not finite at a tested state.  The grid is screened in blocks of
+    whole rows (about 2**13 states) in a workspace allocated once per call,
+    and the kept states are evaluated at most 2**10 at a time, in grid
+    order.  The result is ordered by grid index, then eta slot (corners
+    first), then fddot (-L before L).  It is a `Violations`: the samples'
+    six float64 columns, whose `DecreaseViolation` records are built only
+    when read.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
     if not all(math.isfinite(v) for v in (gamma, margin, tolerance)):
         raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
+    if gamma < 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     (x1s, x2s), n2 = grid.axes(), grid.n2
@@ -451,7 +443,8 @@ def verify_decrease(
             kept = _screen(p, n, gamma, margin, tolerance, x1r, cols, *ws)
             # An eighth of a block at a time: the pass holds ~33 arrays per state.
             for g in (kept[s : s + batch] for s in range(0, kept.size, batch)):
-                chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // n2], x2s[g % n2]))
+                col = g % n2
+                chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // n2], x2s[col], cols[-1][col]))
         del ws  # released before the join, the call's peak
     result = object.__new__(Violations)  # the join is its own: adopted, not copied
     result._adopt([np.concatenate(c) for c in zip(*chunks)])

@@ -9,6 +9,7 @@ much freedom is left in picking the gains.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,15 @@ def check_positive_finite(name: str, value: float) -> None:
     """Raise ValueError unless `value` is positive and finite."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def is_count(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float or a string."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def check_alpha(alpha: float) -> None:

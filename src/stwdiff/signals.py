@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .differentiator import DiffState
-from .params import NoiseLevel, check_positive_finite
+from .params import NoiseLevel, check_positive_finite, is_count
 
 TimeFn = Callable[[float], float]
 GridFn = Callable[[np.ndarray], np.ndarray]
@@ -228,6 +228,8 @@ def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
     1e-9 * max(N_cert, L_cert); each bound is tested with `<=`, so NaN fails.
     """
     check_positive_finite("horizon", horizon)
+    if not is_count(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     tol = 1e-9 * max(pair.N_cert, pair.L_cert)

@@ -197,6 +197,14 @@ class TestVerifyLyapunov:
         assert "margin must be nonnegative" in err
         assert "violations=" not in out + err
 
+    def test_negative_gamma_exits_two(self, capsys):
+        # It would certify the divergent mutant: V may then grow.
+        argv = ["verify-lyapunov", "--lambda2", "0.5", "--gamma=-5", "--resolution", "100x100"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "gamma must be nonnegative" in err
+        assert "violations=" not in out + err
+
     def test_condition_violation_without_gamma_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "10x10"])
         assert code == 1

@@ -9,11 +9,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -64,12 +65,19 @@ def mutant_violations(box, n1, n2):
 
 
 def assert_oracle_filtered(got, ref, n):
-    """`got` is the four-slot list `ref` without the straddling-slot records of
-    out-of-band states (|x1| > N; the mirror keeps |x1|), bit for bit and in
-    order, and reports the same failing states."""
-    kept = [v for slot, v in ref if slot < 2 or abs(v.state.x1) <= n.N]
-    assert list(got) == kept
-    assert np.array_equal(record_bits(got), record_bits(kept))
+    """`got` is the four-slot list `ref` with records at eta = x1 in place of
+    the straddling-slot records and of the corner records that the oracle
+    nudged off x1 = -N or N: the rest are `ref`'s exact-corner records, bit
+    for bit and in order.  Only in-band states (|x1| <= N; the mirror keeps
+    |x1|) have records at eta = x1, no sample repeats, and the same states
+    fail."""
+    at_x1 = [v.eta == v.state.x1 for v in got]
+    rest = [v for v, hit in zip(got, at_x1) if not hit]
+    kept = [v for slot, v in ref if slot < 2 and abs(v.eta) == n.N]
+    assert rest == kept
+    assert np.array_equal(record_bits(rest), record_bits(kept))
+    assert all(abs(v.state.x1) <= n.N for v, hit in zip(got, at_x1) if hit)
+    assert len({(v.state, v.eta, v.fddot) for v in got}) == len(got)
     assert {v.state for v in got} == {v.state for _, v in ref}
 
 
@@ -95,6 +103,14 @@ def branch_values(z1, z2, p):
     w2 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
     w3 = z1 - z2 * z2 / (2.0 * lam2p1L)
     return w1, w2, w3
+
+
+def kink_rates(z2, fddot, s, p):
+    """The three branch rates at z1 == eta under the sign selection s, in
+    closed form (mirrored frame): there sqrt|z1 - eta| = 0, so dz1 = z2."""
+    k2, lam2p1L = p.injection_gains[1], (p.lambda2 + 1.0) * p.L
+    q = z2 * (s * -k2 - fddot)
+    return q / (p.alpha * lam2p1L) - z2, q / (2.0 * p.alpha * lam2p1L), z2 - q / lam2p1L
 
 
 class TestRegionAndValue:
@@ -349,6 +365,34 @@ class TestVdot:
         for f in (-L, L):
             assert float.hex(float(corners[-N, f][1])) == float.hex(float(corners[N, f][1]))
 
+    # At z1 == eta the sign of z1 - eta is set-valued, and each branch is
+    # the larger of its closed forms at s = -1 and s = +1.  On the side of
+    # z1 where that selection holds (eta > z1 for W1 and W2, eta < z1 for
+    # W3) no eta gives a larger rate; on the other side the rate rises
+    # toward the corner.  So the kink and the two corners bound every eta
+    # in the band, exactly, with no tolerance.
+    @settings(max_examples=300)
+    @given(
+        gains=st.tuples(finite(0.05, 20.0), finite(0.05, 20.0), finite(0.01, 100.0), finite(1.0001, 4.0)),
+        N=finite(1e-6, 10.0),
+        u=finite(-1.0, 1.0),
+        z2=finite(0.0, 50.0),
+        fddot_sign=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_kink_is_each_branch_at_its_worst_selection(self, gains, N, u, z2, fddot_sign):
+        p = Params(*gains)
+        z1, fddot = u * N, fddot_sign * p.L
+        (kink,) = _wdot_branches(z1, z2, z1, (fddot,), p)
+        worst = [max(a, b) for a, b in zip(kink_rates(z2, fddot, -1.0, p), kink_rates(z2, fddot, 1.0, p))]
+        assert [float(r) for r in kink] == worst
+        near = np.linspace(max(z1 - 1e-6, -N), min(z1 + 1e-6, N), 101)
+        etas = np.clip(np.concatenate([near, [math.nextafter(z1, -N - 1.0), math.nextafter(z1, N + 1.0)]]), -N, N)
+        (at_etas,) = _wdot_branches(z1, z2, etas, (fddot,), p)
+        ((lo,), (hi,)) = (list(_wdot_branches(z1, z2, e, (fddot,), p)) for e in (-N, N))
+        for b, rising in enumerate((etas > z1, etas > z1, etas < z1)):
+            assert np.all(at_etas[b][rising] <= kink[b])
+            assert np.all(at_etas[b] <= max(kink[b], lo[b], hi[b]))
+
 
 class TestVerifyDecrease:
     def test_clean_on_valid_gains(self):
@@ -418,6 +462,8 @@ class TestVerifyDecrease:
     # were re-taken when the straddling eta slots left the out-of-band states
     # (they were 51546 / 2c878664..., 728 / 09a085af... and 105312 /
     # 6420ff6a..., the four-slot digests that the oracle test below pins).
+    # No sample of these grids fails at eta = x1, so all four held when
+    # eta = x1 replaced the in-band straddling slots.
     @pytest.mark.parametrize(
         "box, n1, n2, count, digest",
         [
@@ -608,34 +654,99 @@ class TestVerifyDecrease:
 
     # One-state grids checked with a gamma so large that every (eta, fddot)
     # sample fails, so every sample is written out: states exactly on t1 and
-    # t2 (both adjacent branch derivatives), at x1 = +N and x1 = -N (eta
-    # nudged off the sign discontinuity, down and up), strictly inside the
-    # noise band, and mirrored (x2 < 0).  A state in the band (|x1| <= N)
-    # gets all eight samples; one outside it gets the four at the corners.
-    # The in-band digests were taken from the per-violation loop that
-    # preceded the whole-array block pass and hold unchanged; the four
-    # out-of-band digests were re-taken when their straddling slots were
-    # dropped (they were f3c7c9db..., d2260107..., 11cc6a97... and
-    # b95842c6..., eight samples each).
+    # t2 (both adjacent branch derivatives), at x1 = +N and x1 = -N (where
+    # the corner on x1 is the kink eta = x1), strictly inside the noise band,
+    # and mirrored (x2 < 0).  A state strictly inside the band (|x1| < N)
+    # gets six samples, the corners' and eta = x1's; any other state gets
+    # the four at the corners.  The threshold and out-of-band digests hold
+    # unchanged.  The four in-band digests were re-taken when eta = x1
+    # replaced the two straddling etas (they were 8077e2ea..., 2c3fc02a...,
+    # ef40fbf8... and c41bba4f..., eight samples each).
     @pytest.mark.parametrize(
         "x1, x2, digest",
         [
             (thresholds(1.0, P_REF)[0], 1.0, "f4b2370eebac37736dd0d0a87184cc081d097a4f54eb113d65e7b780756f5120"),
             (thresholds(1.0, P_REF)[1], 1.0, "54b0be755047ab8939c513e840866098a9df7dc7afe53d3d03b21bcdf2cbf3bb"),
-            (0.01, 1.0, "8077e2ea93a6b397e681daea43b6b130187a1dd9c1a4e0c0e3bbceb296169824"),
-            (-0.01, 1.0, "2c3fc02ad02413d702e7bd67269176b7362568814e003df06997d5b0844a681f"),
-            (0.004, 1.0, "ef40fbf8bbd6773f362e7e5b16faec36cced7bcd83131c7ec2d68278bdd8e48e"),
+            (0.01, 1.0, "2e5b95742ff4380ddf1b02bc42a20db168587d3cb6bb3d5cba03429f3c63f497"),
+            (-0.01, 1.0, "ba093cbdf3d0532756391e4ccf09c434228331fa43d3b823048b49ad615f406c"),
+            (0.004, 1.0, "ec5a31201050fa090bc3b0df86a85744d53f0370af7abdab2026043e85ea635a"),
             (-thresholds(1.5, P_REF)[0], -1.5, "8c6dacb9819eac0966289341b57a829eb0d898d2ffde9eb02000d9b96deb6c64"),
-            (0.004, -1.0, "c41bba4f6ff22ea0a0cc46eda7c74273e8b7dadb06d20d34b45f2601b16efe7f"),
+            (0.004, -1.0, "4854f532bcb267bbca0b1796281b8c8f51abd69aa229bd14b48dffd603fedd1d"),
             (-0.5, -0.2, "506ea2e38eb4bab90a931709bb6686fe089765c96372f84dab817bbddc86b643"),
         ],
     )
     def test_single_state_probes_match_golden_csv(self, x1, x2, digest):
         grid = GridSpec(x1, x1 + 1.0, x2, x2 + 1.0, 1, 1)
         violations = verify_decrease(P_REF, N_SMALL, grid, gamma=1e4)
-        samples = 8 if abs(x1) <= N_SMALL.N else 4
+        samples = 6 if abs(x1) < N_SMALL.N else 4
         assert [(v.state.x1, v.state.x2) for v in violations] == [(x1, x2)] * samples
         assert violations_digest(violations) == digest
+
+    # Random gains, noise bounds and active states strictly inside the band,
+    # possibly mirrored.  Such a state lies in W1: V = 2 t1 - z1 exceeds N
+    # only where t1 > (N + z1) / 2 > z1.  Its records at eta = x1 are W1's
+    # closed form at the worst selection, and no admissible eta within 1e-6
+    # of x1 gives a rate above its largest record for that fddot.
+    @settings(max_examples=200)
+    @given(
+        gains=st.tuples(finite(0.05, 20.0), finite(0.05, 20.0), finite(0.01, 100.0), finite(1.0001, 4.0)),
+        N=finite(1e-6, 10.0),
+        u=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        lift=finite(1e-3, 10.0),
+        mirrored=st.booleans(),
+    )
+    def test_in_band_record_at_eta_x1_is_the_worst_selection(self, gains, N, u, lift, mirrored):
+        p = Params(*gains)
+        z1 = u * N
+        z2 = math.sqrt(2.0 * p.alpha * ((p.lambda2 + 1.0) * p.L) * (N + z1) * (1.0 + lift))
+        x1, x2 = (-z1, -z2) if mirrored else (z1, z2)
+        t1, t2 = thresholds(z2, p)
+        assume(evaluate(ErrorState(x1, x2), p) > N and t1 - z1 > 1e-8 * max(1.0, t2))
+        grid = GridSpec(x1, x1 + 1.0, x2, x2 + 1.0, 1, 1)
+        got = verify_decrease(p, NoiseLevel(N), grid, gamma=1e100, margin=0.0)
+        assert len(got) == 6
+        at_x1 = [v for v in got if v.eta == x1]
+        assert len(at_x1) == 2
+        near = np.linspace(max(z1 - 1e-6, -N), min(z1 + 1e-6, N), 101)
+        for v in at_x1:
+            fddot = -v.fddot if mirrored else v.fddot
+            assert v.observed_rate == max(kink_rates(z2, fddot, s, p)[0] for s in (-1.0, 1.0))
+            ((w1, _, _),) = _wdot_branches(z1, z2, near, (fddot,), p)
+            assert w1.max() <= max(w.observed_rate for w in got if w.fddot == v.fddot)
+
+    # The one-state grid (0, -3), with gamma halfway between the state's
+    # rate 1e-12 off x1 and its worst rate at eta = x1: it fails only at
+    # eta = x1, by 2.05e-6, which the four-slot oracle's samples miss.
+    def test_in_band_violation_is_found_at_eta_x1(self):
+        grid, gamma = GridSpec(0.0, 1.0, -3.0, -2.0, 1, 1), 3.1031875519
+        (v,) = verify_decrease(P_REF, N_SMALL, grid, gamma=gamma, tolerance=0.0)
+        assert (v.state, v.eta, v.fddot) == (ErrorState(0.0, -3.0), 0.0, 1.0)
+        assert v.observed_rate - v.required_rate == pytest.approx(2.05e-6, rel=1e-3)
+        assert oracles.verify_decrease_four_slot(P_REF, N_SMALL, grid, gamma, tolerance=0.0) == []
+
+    # With every sample failing, each active state writes each of its
+    # samples once: the corners' (one corner if N = 0) and, strictly inside
+    # the band, eta = x1's.  On x1 = -N and x1 = +N the corner on x1 is the
+    # kink eta = x1.
+    @pytest.mark.parametrize("N, corners", [(0.25, 2), (0.0, 1)])
+    def test_no_sample_repeats(self, N, corners):
+        n = NoiseLevel(N)
+        got = verify_decrease(P_REF, n, GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 33), gamma=1e4)
+        samples = [(v.state, v.eta, v.fddot) for v in got]
+        assert len(set(samples)) == len(samples)
+        per_state = Counter(v.state for v in got)
+        assert {s.x1 for s in per_state} >= {-N, N}
+        assert all(count == 2 * (corners + (abs(s.x1) < N)) for s, count in per_state.items())
+        assert all(any(v.eta == v.state.x1 for v in got if v.state == s) for s in per_state if abs(s.x1) == N)
+
+    # A negative gamma asks V to grow, which the divergent mutant satisfies;
+    # gamma = 0 asks only that V not grow.
+    def test_negative_gamma_rejected(self):
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            verify_decrease(P_MUTANT, N_SMALL, grid, gamma=-5.0)
+        assert verify_decrease(P_MUTANT, N_SMALL, grid, gamma=0.0)
+        assert len(verify_decrease(P_REF, N_SMALL, grid, gamma=0.0)) == 0
 
     def test_record_types(self):
         gamma = decay_rate_gamma(P_REF).gamma

@@ -221,6 +221,11 @@ class TestMembership:
         pair = parse_pair("quadratic", "none", 1.0, 0.0)
         with pytest.raises(ValueError):
             check_membership(pair, horizon=1.0, samples=1)
+        # samples=2.5 used to sample t = 0, 0.667, 1.333, past the horizon.
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                check_membership(pair, horizon=1.0, samples=bad)
+        assert check_membership(pair, horizon=1.0, samples=np.int64(3))
 
     @pytest.mark.parametrize(
         "f, fddot, eta",
