@@ -25,11 +25,15 @@ from .params import NoiseLevel, Params, error_upper_bound, is_count
 
 W1, W2, W3 = "W1", "W2", "W3"
 
-# States per certifier block; a block is whole rows, so peak memory scales
-# with this or with one row of the grid, whichever is larger.  Larger blocks
-# make fewer numpy calls; at 2**14 the clean 1500x1500 pass holds about
-# 1.5 MB (53 bytes a state in the workspace, 265 a kept state).
+# States per certifier block.  A block is rows of one band of cells, over
+# that band's open columns, so peak memory scales with this or with one row
+# of the grid, whichever is larger; the lattice is screened an eighth of a
+# block at a time.  Larger blocks make fewer numpy calls; at 2**14 the
+# clean 1500x1500 pass held about 1.5 MB (53 bytes a state in the
+# workspace, 265 a kept state).
 _BLOCK_STATES = 1 << 13
+# Grid steps per side of a certifier cell (see verify_decrease).
+_CELL = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,13 +308,15 @@ def _screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
     Kept are the active states (V > N + margin) that fail at the peak of
     their branch (see verify_decrease), lie in the noise band, or lie within
     eps_cell of a threshold (checked on both adjacent branches).  `cols`
-    holds the grid's column terms, and every block-sized array is a view of
-    the workspace `floats` and `flags`.
+    holds the column terms of the block's columns, and `floats` and `flags`
+    are workspace views of the block's shape.  On return floats[1] holds
+    required + tolerance, floats[3] the peak rate, and flags[:4] the tests
+    z1 <= t1, z1 <= t2, active and kept.
     """
     N, L = n.N, p.L
     msign, z2, t1, two_t1, t2, neg_h, eps_cell = cols
-    z1, w1, w2, w3, dz1, push = floats[:, : x1r.size]
-    le1, le2, active, keep, scratch = flags[:, : x1r.size]
+    z1, w1, w2, w3, dz1, push = floats
+    le1, le2, active, keep, scratch = flags
     np.multiply(x1r[:, None], msign, out=z1)
     np.less_equal(z1, t1, out=le1)
     np.less_equal(z1, t2, out=le2)
@@ -338,6 +344,63 @@ def _screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
     keep |= np.greater(worst, np.add(required, tolerance, out=w1), out=scratch)
     keep[np.abs(x1r) <= N] = True
     return np.flatnonzero(np.logical_and(keep, active, out=keep))
+
+
+def _views(ws, rows, cols):
+    """The workspace's arrays as blocks of `rows` x `cols` states."""
+    return tuple(w[:, : rows * cols].reshape(len(w), rows, cols) for w in ws)
+
+
+def _edges(n):
+    """Cell edges on an axis of n points: every _CELL-th index, then n.
+
+    The lattice is the edges with n replaced by n - 1, the axis's last
+    point; the edges also split the axis into the cells' half-open ranges.
+    """
+    return np.append(np.arange(0, n - 1, _CELL), n)
+
+
+def _fold(a, f):
+    """The ufunc f over the four corners of each cell of a block of lattice points."""
+    a = f(a[:, :-1], a[:, 1:])
+    return f(a[:-1], a[1:])
+
+
+def _prove_cells(p, n, gamma, margin, tolerance, x1s, cols, er, ec, ws):
+    """Which cells of the vertex lattice hold no state with a failing sample.
+
+    Cell (i, j) spans lattice rows i, i + 1 and columns j, j + 1 (indices
+    er and ec, see `_edges`).  The lattice is screened in blocks of rows,
+    each block repeating the last row of the one before, and the block's
+    corners are folded into cell verdicts (see verify_decrease).  A lattice
+    column is screened against the largest eps_cell of the cells on its
+    sides.
+    """
+    rows, columns = np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1)
+    lcols = [c[columns] for c in cols]
+    eps = lcols[-1]
+    lcols[-1] = np.maximum(np.maximum(eps, np.append(eps[1:], 0.0)), np.append(0.0, eps[:-1]))
+    msign, z2 = lcols[0], lcols[1]
+    one_half, z2max = msign[:-1] == msign[1:], np.maximum(z2[:-1], z2[1:])
+    x1l = x1s[rows]
+    off_band = (x1l[:-1] > n.N) | (x1l[1:] < -n.N)
+    proved = np.empty((rows.size - 1, columns.size - 1), dtype=bool)
+    k = max(2, (_BLOCK_STATES // 8) // columns.size)
+    for s in range(0, rows.size - 1, k - 1):
+        x1r = x1l[s : s + k]
+        floats, flags = _views(ws, x1r.size, columns.size)
+        _screen(p, n, gamma, margin, tolerance, x1r, lcols, floats, flags)
+        # The region as a code, 2 for W1, 1 for W2 and 0 for W3; -1 where the
+        # corner is inactive or kept (near a threshold, in the band, failing).
+        code = np.add(flags[0], flags[1], dtype=np.int8)
+        code[~flags[2] | flags[3]] = -1
+        low = _fold(code, np.minimum)
+        same = (low >= 0) & (low == _fold(code, np.maximum)) & one_half & off_band[s : s + x1r.size - 1, None]
+        # The largest peak rate and the smallest required rate plus tolerance.
+        wmax, lmin = _fold(floats[3], np.maximum), _fold(floats[1], np.minimum)
+        slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + z2max)
+        proved[s : s + x1r.size - 1] = same & (wmax + slack <= lmin)
+    return proved
 
 
 def _verify_states(p, n, gamma, tolerance, x1v, x2v, eps_cell):
@@ -406,29 +469,60 @@ def verify_decrease(
     is screened there first; only the states that fail, those in the band
     and those within eps_cell of a region threshold (checked on both
     adjacent branches) are then evaluated sample by sample.  Each failing
-    sample is reported once.  When `gamma` is omitted it is taken from
-    :func:`decay_rate_gamma`, which requires the gain condition to hold;
-    passing `gamma` explicitly skips that requirement (mutation probes).
-    Raises ValueError when `gamma`, `margin` or `tolerance` is not finite,
-    when `gamma` or `margin` is negative, and when V or the required rate
-    is not finite at a tested state.  The grid is screened in blocks of
-    whole rows (about 2**13 states) in a workspace allocated once per call,
-    and the kept states are evaluated at most 2**10 at a time, in grid
-    order.  The result is ordered by grid index, then eta slot (corners
-    first), then fddot (-L before L).  It is a `Violations`: the samples'
-    six float64 columns, whose `DecreaseViolation` records are built only
-    when read.
+    sample is reported once.
+
+    Before that, whole cells of the grid are proved from their corners.
+    The vertex lattice (every 16th row and column, and the last) is screened
+    like any state, and a cell of 2 x 2 lattice points is proved when its
+    four corners are active, lie in one region and one mirror half, and are
+    each farther than the cell's largest eps_cell from both thresholds; its
+    x1 span misses [-N, N]; and its largest corner peak rate, plus a slack
+    of 1e-12 (1 + |peak| + |required| + max z2), is at most its smallest
+    required rate plus tolerance.  Within such a cell the thresholds and V
+    are monotone in z1 and z2 under rounding, so every state is active and
+    as far from the thresholds as the worst corner, and its required rate
+    is at least the one at the cell's largest V.  Each branch's exact peak
+    rate is monotone in z1 and affine in z2, so its maximum is at a corner.
+    The computed rate is not monotone in z2 everywhere: W1's rate adds
+    z2 (push - fddot) / (alpha (lambda2+1) L) and subtracts z2, which pull
+    opposite ways where push - fddot > 0 (z1 < -N, or lambda2 < 1).  Both
+    terms are at most z2 in size, so the slack dominates their rounding at
+    any state of the cell.  The band test is on the span, not the corners:
+    a cell of 16 steps at 1500 points over [-3, 3] is 0.064 wide, against a
+    band of 0.02 at N = 0.01.  A non-finite V or required rate at a corner
+    raises from the lattice's screen, and a non-finite peak rate fails the
+    slack test, so its cells stay open; inside a proved cell V lies between
+    its corner values, so an overflow anywhere still raises from the
+    screen.  No state of a proved cell has a failing sample, so the cells
+    only skip work: the states left open are screened and reported as
+    above, one band of lattice rows at a time over its open cells' columns,
+    in grid order.  A grid with one point on an axis has no cells.
+
+    When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
+    which requires the gain condition to hold; passing `gamma` explicitly
+    skips that requirement (mutation probes).  Raises ValueError when
+    `gamma`, `margin` or `tolerance` is not finite or is negative, and when
+    V or the required rate is not finite at a tested state.  States are
+    screened in blocks of about 2**13 in a workspace allocated once per
+    call, and the kept states are evaluated at most 2**10 at a time, in
+    grid order.  The result is ordered by grid index, then eta slot
+    (corners first), then fddot (-L before L).  It is a `Violations`: the
+    samples' six float64 columns, whose `DecreaseViolation` records are
+    built only when read.
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
     if not all(math.isfinite(v) for v in (gamma, margin, tolerance)):
         raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
-    (x1s, x2s), n2 = grid.axes(), grid.n2
-    rows, batch = min(grid.n1, max(1, _BLOCK_STATES // n2)), max(1, _BLOCK_STATES // 8)
+    for name, value in (("gamma", gamma), ("margin", margin), ("tolerance", tolerance)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    (x1s, x2s), n1, n2 = grid.axes(), grid.n1, grid.n2
+    cells = n1 > 1 and n2 > 1
+    er, ec = (_edges(n1), _edges(n2)) if cells else (np.array([0, n1]), np.array([0, n2]))
+    # The workspace holds a block of whole rows, and two rows of the lattice.
+    size = max(min(n1, max(1, _BLOCK_STATES // n2)) * n2, 2 * ec.size)
+    batch = max(1, _BLOCK_STATES // 8)
     chunks = [_NO_VIOLATIONS]
     # An overflow shows as a non-finite V or required rate, which raises.
     with np.errstate(over="ignore"):
@@ -437,14 +531,25 @@ def verify_decrease(
         z2 = np.where(flip, -x2s, x2s)
         t1, t2, neg_h = _levels(-0.0, z2, p)
         cols = np.where(flip, -1.0, 1.0), z2, t1, 2.0 * t1, t2, neg_h, 1e-9 * np.maximum(1.0, np.abs(t2))
-        ws = np.empty((6, rows, n2)), np.empty((5, rows, n2), dtype=bool)
-        for r0 in range(0, grid.n1, rows):
-            x1r = x1s[r0 : r0 + rows]
-            kept = _screen(p, n, gamma, margin, tolerance, x1r, cols, *ws)
-            # An eighth of a block at a time: the pass holds ~33 arrays per state.
-            for g in (kept[s : s + batch] for s in range(0, kept.size, batch)):
-                col = g % n2
-                chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // n2], x2s[col], cols[-1][col]))
+        ws = np.empty((6, size)), np.empty((5, size), dtype=bool)
+        proved = np.zeros((1, 1), dtype=bool)
+        if cells:
+            proved = _prove_cells(p, n, gamma, margin, tolerance, x1s, cols, er, ec, ws)
+        widths = np.diff(ec)
+        # Each band of lattice rows, over the columns of its open cells.
+        for b, (r0, r1) in enumerate(zip(er[:-1].tolist(), er[1:].tolist())):
+            if proved[b].all():
+                continue
+            # The open cells' columns; a band with no proved cell keeps the grid's.
+            at = np.flatnonzero(np.repeat(~proved[b], widths)) if proved[b].any() else None
+            bcols, m = (cols, n2) if at is None else ([c[at] for c in cols], at.size)
+            for s in range(r0, r1, size // m):
+                x1r = x1s[s : min(s + size // m, r1)]
+                kept = _screen(p, n, gamma, margin, tolerance, x1r, bcols, *_views(ws, x1r.size, m))
+                # An eighth of a block at a time: the pass holds ~33 arrays per state.
+                for g in (kept[i : i + batch] for i in range(0, kept.size, batch)):
+                    col = g % m if at is None else at[g % m]
+                    chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // m], x2s[col], cols[-1][col]))
         del ws  # released before the join, the call's peak
     result = object.__new__(Violations)  # the join is its own: adopted, not copied
     result._adopt([np.concatenate(c) for c in zip(*chunks)])

@@ -205,6 +205,14 @@ class TestVerifyLyapunov:
         assert "gamma must be nonnegative" in err
         assert "violations=" not in out + err
 
+    def test_negative_tolerance_exits_two(self, capsys):
+        # It would report states where the inequality holds.
+        argv = ["verify-lyapunov", "--tolerance=-1", "--resolution", "20x20"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "tolerance must be nonnegative" in err
+        assert "violations=" not in out + err
+
     def test_condition_violation_without_gamma_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["verify-lyapunov", "--lambda2", "0.5", "--resolution", "10x10"])
         assert code == 1

@@ -11,10 +11,11 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -552,13 +553,17 @@ class TestVerifyDecrease:
             tracemalloc.stop()
         assert peak - before < 1_000_000
 
-    # The result does not depend on the block size: one row per block with
-    # rows longer than a block, a size whose last block is partial (where
-    # the screen works on the first rows of its workspace only), one block
-    # for the whole grid, and the default.  The smaller sizes also cut the
-    # per-sample pass into batches of a few states.  The grids: the
+    # The result depends neither on the block size nor on the cell size.
+    # Block sizes: one row per block with rows longer than a block, a size
+    # whose last block is partial (where the screen works on the first rows
+    # of its workspace only), one block for the whole grid, and the default.
+    # The smaller sizes also cut the per-sample pass into batches of a few
+    # states.  Cell sizes: one grid step (every state is a lattice point), a
+    # size that leaves a partial last cell on an axis, one larger than the
+    # grid (one cell), and the default; each is run with the smallest block,
+    # where the lattice's two rows can outgrow a block.  The grids: the
     # benchmark's mutant probe, one whose in-band rows include x1 = -N and
-    # x1 = +N exactly, and a 1 x n and an n x 1 grid.
+    # x1 = +N exactly, and a 1 x n and an n x 1 grid, which have no cells.
     @pytest.mark.parametrize(
         "p, n, box, n1, n2, gamma",
         [
@@ -573,8 +578,12 @@ class TestVerifyDecrease:
         grid = GridSpec(*box, n1, n2)
         partial = next(r for r in (2, 3, 4, 5, 6, 7) if n1 % r or n1 == 1)
         sizes = (max(1, n2 // 2), partial * n2 + n2 // 2, n1 * n2, lyapunov._BLOCK_STATES)
+        partial = next(c for c in range(2, 10) if (n1 - 1) % c or (n2 - 1) % c)
+        cells = (1, partial, max(n1, n2), lyapunov._CELL)
         results = []
-        for size in sizes:
+        # Each cell size with the smallest block, and the default cell with each block size.
+        for cell, size in [(c, sizes[0]) for c in cells[:-1]] + [(cells[-1], s) for s in sizes]:
+            monkeypatch.setattr(lyapunov, "_CELL", cell)
             monkeypatch.setattr(lyapunov, "_BLOCK_STATES", size)
             results.append(verify_decrease(p, n, grid, gamma=gamma))
         assert len(results[-1]) > 0
@@ -583,9 +592,11 @@ class TestVerifyDecrease:
         assert_oracle_filtered(results[-1], oracles.verify_decrease_four_slot(p, n, grid, gamma), n)
 
     # The screen evaluates V and the required rate on its workspace from the
-    # grid's column terms; both are `_thresholds_grid`'s bit for bit.  N is
-    # the smallest positive V on the grid and the margin is 0, so nearly all
-    # states are active and some sit exactly on the boundary V = N + margin.
+    # column terms of its block's columns; both are `_thresholds_grid`'s bit
+    # for bit at every state it sees: the lattice corners, and the states of
+    # the open cells.  N is the smallest positive V on the grid and the
+    # margin is 0, so nearly all states are active and some sit exactly on
+    # the boundary V = N + margin.
     @pytest.mark.parametrize("seed", range(4))
     def test_screen_value_and_required_rate_are_the_array_forms(self, monkeypatch, seed):
         rng = np.random.default_rng([seed, 23])
@@ -599,22 +610,99 @@ class TestVerifyDecrease:
 
         def spy(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
             kept = screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags)
-            # The active mask and, with tolerance 0, the required rate.
-            seen.append((x1r, flags[2, : x1r.size].ravel().copy(), floats[1, : x1r.size].ravel().copy()))
+            # The block's states (x2 is the mirror sign times z2), the
+            # active mask and, with tolerance 0, the required rate.
+            seen.append((x1r, cols[0] * cols[1], flags[2].ravel().copy(), floats[1].ravel().copy()))
             return kept
 
         monkeypatch.setattr(lyapunov, "_screen", spy)
         monkeypatch.setattr(lyapunov, "_BLOCK_STATES", 5 * grid.n2)
+        monkeypatch.setattr(lyapunov, "_CELL", 4)
         verify_decrease(p, n, grid, gamma=gamma, margin=0.0, tolerance=0.0)
-        assert len(seen) == 9
-        on_boundary = 0
-        for x1r, active, required in seen:
-            v = _thresholds_grid(np.repeat(x1r, grid.n2), np.tile(x2s, x1r.size), p)[4]
+        on_boundary, screened = 0, np.zeros((grid.n1, grid.n2), dtype=bool)
+        for x1r, x2, active, required in seen:
+            screened[np.ix_(np.searchsorted(x1s, x1r), np.searchsorted(x2s, x2))] = True
+            v = _thresholds_grid(np.repeat(x1r, x2.size), np.tile(x2, x1r.size), p)[4]
             assert np.array_equal(active, v > n.N)
             on_boundary += np.count_nonzero(v == n.N)
             expected = -gamma * np.sqrt(v[active] - n.N)
             assert np.array_equal(required[active].view(np.uint64), expected.view(np.uint64))
         assert on_boundary > 0
+        # Every lattice corner (every 4th row and column) was screened.
+        assert screened[np.ix_(range(0, grid.n1, 4), range(0, grid.n2, 4))].all()
+
+    # The cell proof is sound.  Random gains: lambda2 on both sides of 1,
+    # lambda1 inside the admissible interval where there is one (so that V
+    # decreases and most cells are proved), anywhere otherwise.  Random noise
+    # bounds (0 included), boxes that cross x2 = 0 and the band, gammas (0
+    # included), tolerances, margins and cell sizes.  No state of a proved
+    # cell has a failing sample in the four-slot reference, lies in the
+    # band, is inactive, or lies within eps_cell of a threshold, and all of a
+    # proved cell's states lie in one region and one mirror half.  The cells
+    # only skip work: the result is, bit for bit, that of the same call with
+    # a cell proof that proves nothing.
+    @settings(max_examples=60)
+    @example(  # W1 cells with corners on both sides of the band at |x2| >= 2.4
+        gains=(4.0, 1.1, 1.0, 0.5), N=0.02, box=(-1.03, 0.97, -3.0, 3.0), counts=(41, 41), cell=4,
+        gamma=0.0, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # one W1 cell whose corner (x1 max, x2 min) lies on t1
+        gains=(4.0, 1.1, 1.0, 0.5), N=0.0, box=(0.005, thresholds(1.0, P_REF)[0], 1.0, 2.0), counts=(10, 10),
+        cell=9, gamma=0.0, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # one cell across x2 = 0 whose corners all lie in W1
+        gains=(4.0, 1.1, 1.0, 0.5), N=0.0, box=(0.001, 0.009, -0.6, 0.6), counts=(10, 13), cell=12,
+        gamma=0.0, tolerance=1e-9, margin=1e-9,
+    )
+    @given(
+        gains=st.tuples(finite(1.01, 4.0), finite(0.2, 6.0), finite(0.1, 5.0), st.floats(0.0, 1.0)),
+        N=st.one_of(st.just(0.0), finite(1e-3, 0.3)),
+        box=st.tuples(finite(-3.0, -0.05), finite(0.05, 3.0), finite(-3.0, -0.05), finite(0.05, 3.0)),
+        counts=st.tuples(st.integers(10, 60), st.integers(10, 60)),
+        cell=st.integers(1, 8),
+        gamma=st.one_of(st.just(0.0), finite(-6.0, 0.5).map(lambda e: 10.0**e)),
+        tolerance=st.sampled_from((0.0, 1e-9)),
+        margin=st.sampled_from((0.0, 1e-9)),
+    )
+    def test_proved_cells_hold_no_failing_state(self, gains, N, box, counts, cell, gamma, tolerance, margin):
+        alpha, lambda2, L, u = gains
+        gain = stwdiff.lambda1_range(lambda2, alpha)
+        lambda1 = 0.5 + 7.5 * u if gain.empty else gain.lo + u * (gain.hi - gain.lo)
+        p, n, grid = Params(lambda1, lambda2, L, alpha), NoiseLevel(N), GridSpec(*box, *counts)
+        prove, seen = lyapunov._prove_cells, []
+
+        def spy(*args):
+            proved = prove(*args)
+            # The lattice: the cell edges, with the last replaced by the last point.
+            er, ec = args[-3], args[-2]
+            seen.append((np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1), proved))
+            return proved
+
+        with mock.patch.object(lyapunov, "_CELL", cell):
+            with mock.patch.object(lyapunov, "_prove_cells", spy):
+                got = verify_decrease(p, n, grid, gamma=gamma, margin=margin, tolerance=tolerance)
+            with mock.patch.object(lyapunov, "_prove_cells", lambda *args: prove(*args) & False):
+                unproved = verify_decrease(p, n, grid, gamma=gamma, margin=margin, tolerance=tolerance)
+        assert np.array_equal(column_bits(got), column_bits(unproved))
+        ((rows, cols, proved),) = seen
+        x1s, x2s = grid.axes()
+        x1v, x2v = np.meshgrid(x1s, x2s, indexing="ij")
+        z1, _, t1, t2, v = _thresholds_grid(x1v, x2v, p)
+        eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
+        # Region (0, 1 or 2 for W3, W2, W1) and mirror half, as one code.
+        code = (z1 <= t1).astype(int) + (z1 <= t2) + 3 * (x2v < 0)
+        covered = np.zeros((grid.n1, grid.n2), dtype=bool)
+        for i, j in zip(*np.nonzero(proved)):
+            cell_states = np.s_[rows[i] : rows[i + 1] + 1, cols[j] : cols[j + 1] + 1]
+            covered[cell_states] = True
+            assert (code[cell_states] == code[rows[i], cols[j]]).all()
+        assert (v[covered] > N + margin).all()
+        assert (np.abs(x1v[covered]) > N).all()
+        assert (np.abs(z1 - t1)[covered] > eps_cell[covered]).all()
+        assert (np.abs(z1 - t2)[covered] > eps_cell[covered]).all()
+        ref = oracles.verify_decrease_four_slot(p, n, grid, gamma, margin=margin, tolerance=tolerance)
+        failing = {(r.state.x1, r.state.x2) for _, r in ref}
+        assert not any(covered[np.searchsorted(x1s, a), np.searchsorted(x2s, b)] for a, b in failing)
 
     # verify_decrease keeps nothing between calls.  Clean and mutant grids
     # of different row lengths, run back to back and interleaved, give the
@@ -747,6 +835,33 @@ class TestVerifyDecrease:
             verify_decrease(P_MUTANT, N_SMALL, grid, gamma=-5.0)
         assert verify_decrease(P_MUTANT, N_SMALL, grid, gamma=0.0)
         assert len(verify_decrease(P_REF, N_SMALL, grid, gamma=0.0)) == 0
+
+    # A negative tolerance reports samples where the inequality holds: at
+    # tolerance -1 the reference gains on this grid gave 256 failing samples
+    # at 74 of its 400 states.
+    def test_negative_tolerance_rejected(self):
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 20, 20)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            verify_decrease(P_REF, N_SMALL, grid, tolerance=-1.0)
+        assert len(verify_decrease(P_REF, N_SMALL, grid, tolerance=0.0)) == 0
+
+    # A call imports no module: in a fresh process, the first call (the
+    # benchmark's mutant probe) leaves sys.modules as it found it.
+    def test_call_imports_no_module(self):
+        script = (
+            "import sys\n"
+            "from stwdiff import GridSpec, NoiseLevel, Params, decay_rate_gamma, verify_decrease\n"
+            "gamma = decay_rate_gamma(Params(4.1, 1.1, 1.0, 4.0)).gamma\n"
+            "p, n, grid = Params(4.1, 0.5, 1.0, 4.0), NoiseLevel(0.01), GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)\n"
+            "before = set(sys.modules)\n"
+            "v = verify_decrease(p, n, grid, gamma=gamma)\n"
+            "print(len(v), sorted(set(sys.modules) ^ before))\n"
+        )
+        src = str(Path(stwdiff.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split(maxsplit=1) == ["52676", "[]\n"]
 
     def test_record_types(self):
         gamma = decay_rate_gamma(P_REF).gamma
