@@ -25,13 +25,14 @@ from .params import NoiseLevel, Params, error_upper_bound, is_count
 
 W1, W2, W3 = "W1", "W2", "W3"
 
-# States per certifier block.  A block is rows of one band of cells, over
-# that band's open columns, so peak memory scales with this or with one row
-# of the grid, whichever is larger; the lattice is screened an eighth of a
-# block at a time.  Larger blocks make fewer numpy calls; at 2**14 the
-# clean 1500x1500 pass held about 1.5 MB (53 bytes a state in the
-# workspace, 265 a kept state).
-_BLOCK_STATES = 1 << 13
+# States per certifier block and per batch of the per-sample pass.  The open
+# cells' states are screened in flat blocks of this size, and the states that
+# the screen keeps are checked in batches of it, both in one per-call
+# workspace of 15 float64 and 6 boolean rows of this size (0.5 MB); the
+# lattice is screened a block of lattice points at a time, two rows at least.
+# Fewer, larger blocks make fewer numpy calls; the clean 1500x1500 pass peaks
+# at 0.80 MB traced at this size.
+_BLOCK_STATES = 1 << 12
 # Grid steps per side of a certifier cell (see verify_decrease).
 _CELL = 16
 
@@ -273,91 +274,111 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     per fddot; the terms that do not depend on fddot are computed once.
     Where z1 == eta the sign is set-valued, and each branch takes its worst
     selection (-1 for W1 and W2, +1 for W3): its supremum as eta tends to
-    z1.  With `out`, five arrays of the broadcast shape, nothing is
+    z1.  With `out`, six arrays of the broadcast shape, nothing is
     allocated: each triple is written into its first three, and eta and one
-    fddot may be out[0], out[1]; that path, the screen's, takes sign(0) = 0.
+    fddot may be out[0], out[1].
     """
     k1, k2 = p.injection_gains
     lam2p1L = (p.lambda2 + 1.0) * p.L
-    w1, w2, w3, dz1, push = (None,) * 5 if out is None else out
+    w1, w2, w3, dz1, push, push3 = (None,) * 6 if out is None else out
     arg = np.subtract(z1, eta, out=w1)
+    kink = np.equal(arg, 0.0, out=push3)  # 1 at the kink, 0 elsewhere
     sign = np.sign(arg, out=push)
     root = np.sqrt(np.abs(arg, out=w1), out=w1)
-    # dz1 = -k1 sign sqrt|z1 - eta| + z2 and push = -k2 sign.
+    # dz1 = -k1 sign sqrt|z1 - eta| + z2; at the kink root = 0, so only the
+    # push -k2 s depends on the selection s: sign - kink, and sign + kink for
+    # W3, whose push is the other one's minus 2 k2 there.
     dz1 = np.add(np.multiply(np.multiply(sign, -k1, out=dz1), root, out=dz1), z2, out=dz1)
-    push = np.multiply(sign, -k2, out=push)
-    # At the kink root = 0, so only the push depends on the selection.
-    push3 = push
-    if out is None and np.any(kink := arg == 0):
-        push, push3 = np.where(kink, k2, push), np.where(kink, -k2, push)
+    push = np.multiply(np.subtract(sign, kink, out=push), -k2, out=push)
+    push3 = np.subtract(push, np.multiply(kink, 2.0 * k2, out=push3), out=push3)
     for fddot in fddots:
+        q3 = np.multiply(z2, np.subtract(push3, fddot, out=w3), out=w3)
         q = np.multiply(z2, np.subtract(push, fddot, out=w2), out=w2)
-        q3 = q if push3 is push else z2 * (push3 - fddot)
         r1 = np.subtract(np.divide(q, p.alpha * lam2p1L, out=w1), dz1, out=w1)
         r3 = np.subtract(dz1, np.divide(q3, lam2p1L, out=w3), out=w3)
         yield r1, np.divide(q, 2.0 * p.alpha * lam2p1L, out=w2), r3
 
 
-# The columns of a block without a failing sample.
+# The columns of a grid without a failing sample.
 _NO_VIOLATIONS = (np.empty(0),) * 6
 
 
-def _screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
-    """Flat indices of the states of rows x1r that need the per-sample pass.
+def _column_terms(x2, p, out):
+    """The terms of V's thresholds that depend on x2 only, written into `out`.
 
-    Kept are the active states (V > N + margin) that fail at the peak of
-    their branch (see verify_decrease), lie in the noise band, or lie within
-    eps_cell of a threshold (checked on both adjacent branches).  `cols`
-    holds the column terms of the block's columns, and `floats` and `flags`
-    are workspace views of the block's shape.  On return floats[1] holds
-    required + tolerance, floats[3] the peak rate, and flags[:4] the tests
-    z1 <= t1, z1 <= t2, active and kept.
+    The seven rows of `out` get the mirror sign, t1, 2 t1, t2, the W3
+    offset -z2^2 / (2 (lambda2+1) L), eps_cell = 1e-9 max(1, |t2|) and z2;
+    t1, t2 and the offset are `_levels(-0.0, z2, p)`'s bit for bit, and
+    `out` is returned.  The mirror multiplies by the sign, which is 1 at
+    x2 = -0.0, so z2 keeps -0.0's bits as np.where(x2 < 0, -x2, x2) does
+    (abs would not).
+    """
+    msign, t1, two_t1, t2, neg_h, eps_cell, z2 = out
+    lam2p1L = (p.lambda2 + 1.0) * p.L
+    np.greater_equal(x2, 0.0, out=msign)
+    msign *= 2.0
+    msign -= 1.0
+    np.multiply(x2, msign, out=z2)
+    np.divide(np.multiply(z2, z2, out=neg_h), 4.0 * p.alpha * lam2p1L, out=t1)
+    np.multiply(t1, 2.0, out=two_t1)
+    np.multiply(t1, 2.0 * p.alpha + 1.0, out=t2)
+    # z2^2 / -c is -(z2^2 / c) exactly, and -0.0 at z2 = 0 as -0.0 - 0.0 is.
+    neg_h /= -2.0 * lam2p1L
+    # t2 >= 0, so max(1, |t2|) is max(t2, 1).
+    np.maximum(t2, 1.0, out=eps_cell)
+    eps_cell *= 1e-9
+    return out
+
+
+def _screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
+    """Flat indices of the states x1 over `cols` that need the per-sample pass.
+
+    x1 and the column terms `cols` (see `_column_terms`) are lattice rows
+    x1[:, None] over lattice columns, or a flat block of states, and
+    `floats` (nine) and `flags` (six) are workspace views of that shape;
+    floats[3:] may be the rows of cols but z2, which are read before they
+    are written.  Kept are the active states (V > N + margin) that fail at
+    the peak of their branch (see verify_decrease), lie in the noise band,
+    or lie within eps_cell of a threshold (checked on both adjacent
+    branches).  On return floats[:3] hold z1, required + tolerance and the
+    required rate -gamma sqrt(V - N) (V - N where inactive), floats[5] the
+    peak rate, and flags the tests z1 <= t1, z1 <= t2, active, kept,
+    |z1 - t1| <= eps_cell and |z1 - t2| <= eps_cell.
     """
     N, L = n.N, p.L
-    msign, z2, t1, two_t1, t2, neg_h, eps_cell = cols
-    z1, w1, w2, w3, dz1, push = floats
-    le1, le2, active, keep, scratch = flags
-    np.multiply(x1r[:, None], msign, out=z1)
+    msign, t1, two_t1, t2, neg_h, eps_cell, z2 = cols
+    z1, limit, required, w1, w2 = floats[:5]
+    le1, le2, active, keep, near1, near2 = flags
+    np.multiply(x1, msign, out=z1)
     np.less_equal(z1, t1, out=le1)
     np.less_equal(z1, t2, out=le2)
-    np.less_equal(np.abs(np.subtract(z1, t1, out=w1), out=w1), eps_cell, out=keep)
-    keep |= np.less_equal(np.abs(np.subtract(z1, t2, out=w1), out=w1), eps_cell, out=scratch)
+    np.less_equal(np.abs(np.subtract(z1, t1, out=limit), out=limit), eps_cell, out=near1)
+    np.less_equal(np.abs(np.subtract(z1, t2, out=limit), out=limit), eps_cell, out=near2)
+    # V over its W3 value z1 - z2^2 / (2 (lambda2+1) L), which is z1 + neg_h.
+    v = np.add(z1, neg_h, out=required)
+    np.copyto(v, t1, where=le2)
+    np.subtract(two_t1, z1, out=v, where=le1)
+    np.greater(v, N + margin, out=active)
+    # The required rate -gamma sqrt(V - N) of the active states.
+    np.subtract(v, N, out=required)
+    np.sqrt(required, out=required, where=active)
+    np.multiply(required, -gamma, out=required, where=active)
+    if not np.isfinite(required, out=keep).all():
+        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
+    np.add(required, tolerance, out=limit)
     # W1 peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L and W3 at (N, L).
     w1.fill(N)
     np.copyto(w1, -N, where=le1)
     w2.fill(L)
     np.copyto(w2, -L, where=le2)
-    ((r1, r2, worst),) = _wdot_branches(z1, z2, w1, (w2,), p, out=(w1, w2, w3, dz1, push))
+    ((r1, r2, worst),) = _wdot_branches(z1, z2, w1, (w2,), p, out=floats[3:])
     np.copyto(worst, r2, where=le2)
     np.copyto(worst, r1, where=le1)
-    # V over its W3 value z1 - z2^2 / (2 (lambda2+1) L), which is z1 + neg_h.
-    v = np.add(z1, neg_h, out=w1)
-    np.copyto(v, t1, where=le2)
-    np.subtract(two_t1, z1, out=v, where=le1)
-    np.greater(v, N + margin, out=active)
-    # The required rate -gamma sqrt(V - N) of the active states.
-    required = np.subtract(v, N, out=w1)
-    np.sqrt(required, out=required, where=active)
-    np.multiply(required, -gamma, out=required, where=active)
-    if not np.isfinite(required, out=scratch).all():
-        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
-    keep |= np.greater(worst, np.add(required, tolerance, out=w1), out=scratch)
-    keep[np.abs(x1r) <= N] = True
+    np.greater(worst, limit, out=keep)
+    keep |= near1
+    keep |= near2
+    np.logical_or(keep, np.less_equal(np.abs(x1, out=w1), N, out=w1), out=keep)
     return np.flatnonzero(np.logical_and(keep, active, out=keep))
-
-
-def _views(ws, rows, cols):
-    """The workspace's arrays as blocks of `rows` x `cols` states."""
-    return tuple(w[:, : rows * cols].reshape(len(w), rows, cols) for w in ws)
-
-
-def _edges(n):
-    """Cell edges on an axis of n points: every _CELL-th index, then n.
-
-    The lattice is the edges with n replaced by n - 1, the axis's last
-    point; the edges also split the axis into the cells' half-open ranges.
-    """
-    return np.append(np.arange(0, n - 1, _CELL), n)
 
 
 def _fold(a, f):
@@ -366,30 +387,26 @@ def _fold(a, f):
     return f(a[:-1], a[1:])
 
 
-def _prove_cells(p, n, gamma, margin, tolerance, x1s, cols, er, ec, ws):
+def _prove_cells(p, n, gamma, margin, tolerance, x1s, x2s, er, ec, ws):
     """Which cells of the vertex lattice hold no state with a failing sample.
 
     Cell (i, j) spans lattice rows i, i + 1 and columns j, j + 1 (indices
-    er and ec, see `_edges`).  The lattice is screened in blocks of rows,
-    each block repeating the last row of the one before, and the block's
-    corners are folded into cell verdicts (see verify_decrease).  A lattice
-    column is screened against the largest eps_cell of the cells on its
-    sides.
+    er and ec: the cell edges, with the last replaced by the last point).
+    The lattice is screened in blocks of rows, each block repeating the last
+    row of the one before, and the block's corners are folded into cell
+    verdicts (see verify_decrease).
     """
     rows, columns = np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1)
-    lcols = [c[columns] for c in cols]
-    eps = lcols[-1]
-    lcols[-1] = np.maximum(np.maximum(eps, np.append(eps[1:], 0.0)), np.append(0.0, eps[:-1]))
-    msign, z2 = lcols[0], lcols[1]
-    one_half, z2max = msign[:-1] == msign[1:], np.maximum(z2[:-1], z2[1:])
+    cols = _column_terms(x2s[columns], p, np.empty((7, columns.size)))
+    one_half, z2max = cols[0, :-1] == cols[0, 1:], np.maximum(cols[6, :-1], cols[6, 1:])
     x1l = x1s[rows]
     off_band = (x1l[:-1] > n.N) | (x1l[1:] < -n.N)
     proved = np.empty((rows.size - 1, columns.size - 1), dtype=bool)
-    k = max(2, (_BLOCK_STATES // 8) // columns.size)
+    k = max(2, _BLOCK_STATES // columns.size)
     for s in range(0, rows.size - 1, k - 1):
         x1r = x1l[s : s + k]
-        floats, flags = _views(ws, x1r.size, columns.size)
-        _screen(p, n, gamma, margin, tolerance, x1r, lcols, floats, flags)
+        floats, flags = (w[:, : x1r.size * columns.size].reshape(len(w), x1r.size, -1) for w in ws)
+        _screen(p, n, gamma, margin, tolerance, x1r[:, None], cols, floats, flags)
         # The region as a code, 2 for W1, 1 for W2 and 0 for W3; -1 where the
         # corner is inactive or kept (near a threshold, in the band, failing).
         code = np.add(flags[0], flags[1], dtype=np.int8)
@@ -397,53 +414,124 @@ def _prove_cells(p, n, gamma, margin, tolerance, x1s, cols, er, ec, ws):
         low = _fold(code, np.minimum)
         same = (low >= 0) & (low == _fold(code, np.maximum)) & one_half & off_band[s : s + x1r.size - 1, None]
         # The largest peak rate and the smallest required rate plus tolerance.
-        wmax, lmin = _fold(floats[3], np.maximum), _fold(floats[1], np.minimum)
+        wmax, lmin = _fold(floats[5], np.maximum), _fold(floats[1], np.minimum)
         slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + z2max)
         proved[s : s + x1r.size - 1] = same & (wmax + slack <= lmin)
     return proved
 
 
-def _verify_states(p, n, gamma, tolerance, x1v, x2v, eps_cell):
-    """Check active grid states sample by sample; returns their failing samples in order.
+def _open_states(x1s, x2s, er, ec, proved):
+    """The states of the open cells in grid order, as (x1, x2) rows of at most
+    _BLOCK_STATES states: each band of lattice rows over its open cells' columns."""
+    for b, band in enumerate(proved):
+        if band.all():
+            continue
+        # The open cells' columns; a band with no proved cell has the grid's.
+        x2b = x2s[np.repeat(~band, np.diff(ec))] if band.any() else x2s
+        x1b, h = x1s[er[b] : er[b + 1]], max(1, _BLOCK_STATES // x2b.size)
+        for r in range(0, x1b.size, h):
+            for c in range(0, x2b.size, _BLOCK_STATES):
+                x1r, x2r = x1b[r : r + h], x2b[c : c + _BLOCK_STATES]
+                piece = np.empty((2, x1r.size, x2r.size))
+                piece[0], piece[1] = x1r[:, None], x2r
+                yield piece.reshape(2, -1)
 
-    Each eta slot and fddot is evaluated over its rows (all for a corner,
-    the states strictly inside the band for eta = z1), and every branch
-    derivative is folded into the observed rate, in branch order, where that
-    branch applies (`eps_cell` is the states' column term).  The failing
-    samples are then gathered and ordered by (state, eta slot, fddot) into
-    the six columns of `Violations`.
+
+def _carry(pieces, buf):
+    """Copy the columns of `pieces` into `buf` in order, carried across pieces;
+    yields the count of columns held each time buf is full, and once at the end."""
+    fill, size = 0, buf.shape[1]
+    for piece in pieces:
+        while piece.shape[1]:
+            k = min(size - fill, piece.shape[1])
+            buf[:, fill : fill + k] = piece[:, :k]
+            piece, fill = piece[:, k:], fill + k
+            if fill == size:
+                yield fill
+                fill = 0
+    if fill:
+        yield fill
+
+
+def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
+    """Check states sample by sample; returns their failing samples in order.
+
+    x1 and x2 are a flat batch of states that the screen kept, and `ws`
+    (eleven) and `flags` (six) workspace rows of their size.  The batch is
+    screened again for its terms (ws[1:4] and flags), and the column terms
+    but z2 (ws[4:10]) then serve as the branches' rows.  Each eta slot and
+    fddot is evaluated over the whole batch (eta = z1 too, where only the
+    states strictly inside the band count), and every branch derivative is
+    folded into the observed rate (ws[0]), in branch order, where that
+    branch applies.  The failing samples are then gathered and ordered by
+    (state, eta slot, fddot) into the six columns of `Violations`: nothing
+    else is allocated per state.
     """
     N, L = n.N, p.L
-    z1, z2, t1, t2, v = _thresholds_grid(x1v, x2v, p)
-    required = -gamma * np.sqrt(v - N)
-    limit = required + tolerance
-    le1, le2 = z1 <= t1, z1 <= t2
-    near_t1, near_t2 = np.abs(z1 - t1) <= eps_cell, np.abs(z1 - t2) <= eps_cell
-    checks = (le1 | near_t1, (~le1 & le2) | near_t1 | near_t2, ~(le1 | le2) | near_t2)
-    # The corners (one if N = 0), and the kink eta = z1 where it is not a corner.
-    band = np.flatnonzero(np.abs(z1) < N)
-    eta_slots = [(slice(None), np.full_like(z1, e)) for e in ((-N, N) if N else (N,))] + [(band, z1[band])]
-
-    hits = []  # (state, slot, fddot index, eta, observed) of failing samples
-    at = np.arange(z1.size)
-    for slot, (rows, e) in enumerate(eta_slots):
-        for k, rates in enumerate(_wdot_branches(z1[rows], z2[rows], e, (-L, L), p)):
-            observed = np.full(e.size, -np.inf)
-            for wd, check in zip(rates, checks):
-                np.maximum(observed, wd, out=observed, where=check[rows])
-            j = np.flatnonzero(observed > limit[rows])
-            if j.size:
-                hits.append((at[rows][j], np.full(j.size, slot), np.full(j.size, k), e[j], observed[j]))
-    if not hits:
-        return _NO_VIOLATIONS
-
-    j, slot, k, e, observed = (np.concatenate(col) for col in zip(*hits))
-    order = np.lexsort((k, slot, j))
-    j, e, g = j[order], e[order], np.array((-L, L))[k[order]]
+    cols = _column_terms(x2, p, ws[4:])
+    _screen(p, n, gamma, margin, tolerance, x1, cols, ws[1:10], flags)
+    observed, z1, limit, required = ws[:4]
+    le1, le2, active, _, near1, near2 = flags
+    # The branches that apply: W1, W2 and W3, and both within eps_cell of a
+    # threshold.  z1 <= t1 implies z1 <= t2, so W3 applies where not le2.
+    c3 = np.less_equal(le2, near2, out=active)
+    c2 = np.greater(le2, le1, out=le2)
+    c2 |= near1
+    c2 |= near2
+    c1 = np.logical_or(le1, near1, out=le1)
+    band, hit = np.less(np.abs(z1, out=observed), N, out=near1), near2
+    # The corners (one if N = 0), and the kink eta = z1 inside the band.
+    etas = [-N, N] if N else [N]
+    if band.any():
+        etas.append(z1)
+    hits = []  # (state, fddot, eta, observed) of failing samples, by slot and fddot
+    for e in etas:
+        for fddot, rates in zip((-L, L), _wdot_branches(z1, cols[6], e, (-L, L), p, out=cols[:6])):
+            observed.fill(-np.inf)
+            for wd, check in zip(rates, (c1, c2, c3)):
+                np.maximum(observed, wd, out=observed, where=check)
+            np.greater(observed, limit, out=hit)
+            if e is z1:
+                hit &= band
+            j = np.flatnonzero(hit)
+            hits.append((j, np.full(j.size, fddot), np.broadcast_to(e, z1.shape)[j], observed[j]))
+    j, g, e, observed = (np.concatenate(col) for col in zip(*hits))
+    # By state; the stable sort keeps a state's samples by slot, then fddot.
+    order = np.argsort(j, kind="stable")
+    j, g, e = j[order], g[order], e[order]
     # Report in the original (unmirrored) coordinates.
-    x1r, x2r = x1v[j], x2v[j]
+    x1r, x2r = x1[j], x2[j]
     mir = x2r < 0
     return x1r, x2r, np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j]
+
+
+def _failing_samples(p, n, gamma, margin, tolerance, grid):
+    """The grid's failing samples as columns, one batch of kept states at a time."""
+    (x1s, x2s), n1, n2 = grid.axes(), grid.n1, grid.n2
+    # The cell edges on each axis: every _CELL-th index, then the count; the
+    # lattice is the edges with the count replaced by the axis's last point.
+    # A grid with one point on an axis has no cells, and one band.
+    cells = n1 > 1 and n2 > 1
+    er, ec = (np.append(np.arange(0, m - 1, _CELL) if cells else 0, m) for m in (n1, n2))
+    # Rows: the batch's and the block's states, the observed rate, z1,
+    # required + tolerance, the required rate and the column terms, of a
+    # block or of two lattice rows, whichever is larger.  The screen reuses
+    # the column terms but z2 once they are read, and the lattice its first
+    # nine rows.
+    size = max(_BLOCK_STATES, 2 * ec.size)
+    ws, flags = np.empty((15, size)), np.empty((6, size), dtype=bool)
+    batch, block = ws[:2, :_BLOCK_STATES], ws[2:4, :_BLOCK_STATES]
+    proved = np.zeros((1, 1), dtype=bool)
+    if cells:
+        proved = _prove_cells(p, n, gamma, margin, tolerance, x1s, x2s, er, ec, (ws[:9], flags))
+
+    def kept():  # the states that each block's screen keeps
+        for s in _carry(_open_states(x1s, x2s, er, ec, proved), block):
+            cols = _column_terms(block[1, :s], p, ws[8:, :s])
+            yield block[:, _screen(p, n, gamma, margin, tolerance, block[0, :s], cols, ws[5:14, :s], flags[:, :s])]
+
+    for s in _carry(kept(), batch):
+        yield _verify_states(p, n, gamma, margin, tolerance, *batch[:, :s], ws[4:, :s], flags[:, :s])
 
 
 def verify_decrease(
@@ -475,13 +563,17 @@ def verify_decrease(
     The vertex lattice (every 16th row and column, and the last) is screened
     like any state, and a cell of 2 x 2 lattice points is proved when its
     four corners are active, lie in one region and one mirror half, and are
-    each farther than the cell's largest eps_cell from both thresholds; its
-    x1 span misses [-N, N]; and its largest corner peak rate, plus a slack
-    of 1e-12 (1 + |peak| + |required| + max z2), is at most its smallest
+    each farther than their own eps_cell from both thresholds; its x1 span
+    misses [-N, N]; and its largest corner peak rate, plus a slack of
+    1e-12 (1 + |peak| + |required| + max z2), is at most its smallest
     required rate plus tolerance.  Within such a cell the thresholds and V
     are monotone in z1 and z2 under rounding, so every state is active and
-    as far from the thresholds as the worst corner, and its required rate
-    is at least the one at the cell's largest V.  Each branch's exact peak
+    in the corners' region, and its required rate is at least the one at
+    the cell's largest V.  Each distance to a threshold minus eps_cell is
+    monotone in z1 and z2 too, so it is least at a corner: where the two
+    are close the subtraction z1 - t is exact, and the distance moves by
+    a whole ulp of t for each move of eps_cell by about 1e-9 of one (at
+    t2 < 1 eps_cell is constant).  Each branch's exact peak
     rate is monotone in z1 and affine in z2, so its maximum is at a corner.
     The computed rate is not monotone in z2 everywhere: W1's rate adds
     z2 (push - fddot) / (alpha (lambda2+1) L) and subtracts z2, which pull
@@ -494,18 +586,22 @@ def verify_decrease(
     slack test, so its cells stay open; inside a proved cell V lies between
     its corner values, so an overflow anywhere still raises from the
     screen.  No state of a proved cell has a failing sample, so the cells
-    only skip work: the states left open are screened and reported as
-    above, one band of lattice rows at a time over its open cells' columns,
-    in grid order.  A grid with one point on an axis has no cells.
+    only skip work: the states of the open cells are taken in grid order,
+    in flat blocks carried from one band of lattice rows to the next, and
+    screened and reported as above.  A grid with one point on an axis has
+    no cells.
 
     When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
     which requires the gain condition to hold; passing `gamma` explicitly
     skips that requirement (mutation probes).  Raises ValueError when
     `gamma`, `margin` or `tolerance` is not finite or is negative, and when
-    V or the required rate is not finite at a tested state.  States are
-    screened in blocks of about 2**13 in a workspace allocated once per
-    call, and the kept states are evaluated at most 2**10 at a time, in
-    grid order.  The result is ordered by grid index, then eta slot
+    V or the required rate is not finite at a tested state.  The open
+    states are screened in flat blocks of 2**12, and the states the screen
+    keeps are checked in batches of 2**12 carried across blocks (the last
+    of each may be partial), all inside one workspace allocated per call.
+    Apart from the grid's axes, memory grows with the grid only through the
+    lattice, which is screened two lattice rows at least at a time.  The
+    result is ordered by grid index, then eta slot
     (corners first), then fddot (-L before L).  It is a `Violations`: the
     samples' six float64 columns, whose `DecreaseViolation` records are
     built only when read.
@@ -517,40 +613,10 @@ def verify_decrease(
     for name, value in (("gamma", gamma), ("margin", margin), ("tolerance", tolerance)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    (x1s, x2s), n1, n2 = grid.axes(), grid.n1, grid.n2
-    cells = n1 > 1 and n2 > 1
-    er, ec = (_edges(n1), _edges(n2)) if cells else (np.array([0, n1]), np.array([0, n2]))
-    # The workspace holds a block of whole rows, and two rows of the lattice.
-    size = max(min(n1, max(1, _BLOCK_STATES // n2)) * n2, 2 * ec.size)
-    batch = max(1, _BLOCK_STATES // 8)
-    chunks = [_NO_VIOLATIONS]
     # An overflow shows as a non-finite V or required rate, which raises.
     with np.errstate(over="ignore"):
-        # The column terms; -0.0 - h is -h exactly, so z1 + neg_h is z1 - h.
-        flip = x2s < 0
-        z2 = np.where(flip, -x2s, x2s)
-        t1, t2, neg_h = _levels(-0.0, z2, p)
-        cols = np.where(flip, -1.0, 1.0), z2, t1, 2.0 * t1, t2, neg_h, 1e-9 * np.maximum(1.0, np.abs(t2))
-        ws = np.empty((6, size)), np.empty((5, size), dtype=bool)
-        proved = np.zeros((1, 1), dtype=bool)
-        if cells:
-            proved = _prove_cells(p, n, gamma, margin, tolerance, x1s, cols, er, ec, ws)
-        widths = np.diff(ec)
-        # Each band of lattice rows, over the columns of its open cells.
-        for b, (r0, r1) in enumerate(zip(er[:-1].tolist(), er[1:].tolist())):
-            if proved[b].all():
-                continue
-            # The open cells' columns; a band with no proved cell keeps the grid's.
-            at = np.flatnonzero(np.repeat(~proved[b], widths)) if proved[b].any() else None
-            bcols, m = (cols, n2) if at is None else ([c[at] for c in cols], at.size)
-            for s in range(r0, r1, size // m):
-                x1r = x1s[s : min(s + size // m, r1)]
-                kept = _screen(p, n, gamma, margin, tolerance, x1r, bcols, *_views(ws, x1r.size, m))
-                # An eighth of a block at a time: the pass holds ~33 arrays per state.
-                for g in (kept[i : i + batch] for i in range(0, kept.size, batch)):
-                    col = g % m if at is None else at[g % m]
-                    chunks.append(_verify_states(p, n, gamma, tolerance, x1r[g // m], x2s[col], cols[-1][col]))
-        del ws  # released before the join, the call's peak
+        # The workspace is released before the join, the call's peak.
+        chunks = [_NO_VIOLATIONS, *_failing_samples(p, n, gamma, margin, tolerance, grid)]
     result = object.__new__(Violations)  # the join is its own: adopted, not copied
     result._adopt([np.concatenate(c) for c in zip(*chunks)])
     return result

@@ -537,11 +537,12 @@ class TestVerifyDecrease:
     # The largest working set (memory live at once) of a block on the clean
     # reference 1500x1500 pass, read as the traced peak over the run minus
     # what was held before it; the clean pass returns nothing, so the peak is
-    # one block's.  Blocks of 2**12 states peak at 0.39 MB (0.64 MB in the
-    # blocks with noise-band rows) plus 48 KB of block coordinates, 0.73 MB
-    # in all.  The 2**13-state blocks whose temporaries glibc trimmed from
-    # the heap top and faulted back in, in some runs and not in others,
-    # peaked at 1.53 MB (1.68 MB in all).
+    # one block's.  With flat blocks and batches of 2**12 states in a 0.5 MB
+    # workspace it reads 0.80 MB, while the lattice is screened (0.72 MB
+    # while the open cells' states are); the 400x400 mutant probe peaks at
+    # 5.06 MB, at the join of its result, and a 1 x 2**20 grid at 9.04 MB,
+    # 8.4 MB of it its axes.  Blocks of whole rows of one band of cells, over
+    # its open columns, read 0.85, 5.13 and 124 MB.
     def test_block_working_set_stays_small(self):
         grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 1500, 1500)
         tracemalloc.start()
@@ -553,17 +554,72 @@ class TestVerifyDecrease:
             tracemalloc.stop()
         assert peak - before < 1_000_000
 
+    # A grid of one long row has no cells, and its states are screened in
+    # flat blocks, so the call holds its axes and a workspace of fixed size:
+    # 9.04 MB traced at 1 x 2**20, against 124 MB when a block was at least
+    # one row and the column terms were computed for the whole grid.
+    def test_long_row_working_set_stays_small(self):
+        grid = GridSpec(0.5, 1.5, -3.0, 3.0, 1, 1 << 20)
+        axes = sum(a.nbytes for a in grid.axes())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(verify_decrease(P_REF, N_SMALL, grid)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= axes + 1_000_000
+
+    # The open cells' states are screened in full blocks, carried from one
+    # band of lattice rows to the next, and the states the screen keeps are
+    # checked in full batches, carried from one block to the next: on the
+    # benchmark's mutant probe only the last flat screen and the last batch
+    # are partial, and together they see each open and each kept state once.
+    def test_work_runs_in_full_blocks(self, monkeypatch):
+        screen, verify = lyapunov._screen, lyapunov._verify_states
+        screens, kept, batches, in_batch = [], [], [], []
+
+        def spy_screen(p, n, gamma, margin, tolerance, x1, *rest):
+            keep = screen(p, n, gamma, margin, tolerance, x1, *rest)
+            if np.ndim(x1) == 1 and not in_batch:  # a block: not the lattice, not a batch
+                screens.append(x1.size)
+                kept.append(keep.size)
+            return keep
+
+        def spy_verify(p, n, gamma, margin, tolerance, x1, *rest):
+            batches.append(x1.size)
+            in_batch.append(True)
+            try:
+                return verify(p, n, gamma, margin, tolerance, x1, *rest)
+            finally:
+                in_batch.pop()
+
+        monkeypatch.setattr(lyapunov, "_screen", spy_screen)
+        monkeypatch.setattr(lyapunov, "_verify_states", spy_verify)
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)
+        got = verify_decrease(P_MUTANT, N_SMALL, grid, gamma=decay_rate_gamma(P_REF).gamma)
+        assert len(got) == 52676
+        full = lyapunov._BLOCK_STATES
+        for sizes in (screens, batches):
+            assert len(sizes) > 2
+            assert sizes[:-1] == [full] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= full
+        failing = len({(v.state.x1, v.state.x2) for v in got})
+        assert failing <= sum(kept) == sum(batches) < sum(screens) < grid.n1 * grid.n2
+
     # The result depends neither on the block size nor on the cell size.
     # Block sizes: one row per block with rows longer than a block, a size
     # whose last block is partial (where the screen works on the first rows
-    # of its workspace only), one block for the whole grid, and the default.
-    # The smaller sizes also cut the per-sample pass into batches of a few
-    # states.  Cell sizes: one grid step (every state is a lattice point), a
-    # size that leaves a partial last cell on an axis, one larger than the
-    # grid (one cell), and the default; each is run with the smallest block,
-    # where the lattice's two rows can outgrow a block.  The grids: the
-    # benchmark's mutant probe, one whose in-band rows include x1 = -N and
-    # x1 = +N exactly, and a 1 x n and an n x 1 grid, which have no cells.
+    # of its workspace only), a prime size that splits the bands' rows at
+    # varying offsets, a size larger than three bands (each at most _CELL
+    # rows), one block for the whole grid, and the default.  The smaller
+    # sizes also cut the per-sample pass into batches of a few states.  Cell
+    # sizes: one grid step (every state is a lattice point), a size that
+    # leaves a partial last cell on an axis, one larger than the grid (one
+    # cell), and the default; each is run with the smallest block, where the
+    # lattice's two rows can outgrow a block.  The grids: the benchmark's
+    # mutant probe, one whose in-band rows include x1 = -N and x1 = +N
+    # exactly, and a 1 x n and an n x 1 grid, which have no cells.
     @pytest.mark.parametrize(
         "p, n, box, n1, n2, gamma",
         [
@@ -577,7 +633,8 @@ class TestVerifyDecrease:
         gamma = decay_rate_gamma(P_REF).gamma if gamma is None else gamma
         grid = GridSpec(*box, n1, n2)
         partial = next(r for r in (2, 3, 4, 5, 6, 7) if n1 % r or n1 == 1)
-        sizes = (max(1, n2 // 2), partial * n2 + n2 // 2, n1 * n2, lyapunov._BLOCK_STATES)
+        bands = 3 * lyapunov._CELL * n2 + 1
+        sizes = (max(1, n2 // 2), partial * n2 + n2 // 2, 97, bands, n1 * n2, lyapunov._BLOCK_STATES)
         partial = next(c for c in range(2, 10) if (n1 - 1) % c or (n2 - 1) % c)
         cells = (1, partial, max(n1, n2), lyapunov._CELL)
         results = []
@@ -592,9 +649,9 @@ class TestVerifyDecrease:
         assert_oracle_filtered(results[-1], oracles.verify_decrease_four_slot(p, n, grid, gamma), n)
 
     # The screen evaluates V and the required rate on its workspace from the
-    # column terms of its block's columns; both are `_thresholds_grid`'s bit
-    # for bit at every state it sees: the lattice corners, and the states of
-    # the open cells.  N is the smallest positive V on the grid and the
+    # column terms of its states; both are `_thresholds_grid`'s bit for bit
+    # at every state it sees: the lattice corners, and the states of the
+    # open cells.  N is the smallest positive V on the grid and the
     # margin is 0, so nearly all states are active and some sit exactly on
     # the boundary V = N + margin.
     @pytest.mark.parametrize("seed", range(4))
@@ -608,11 +665,15 @@ class TestVerifyDecrease:
         gamma = float(rng.uniform(0.1, 10.0))
         seen, screen = [], lyapunov._screen
 
-        def spy(p, n, gamma, margin, tolerance, x1r, cols, floats, flags):
-            kept = screen(p, n, gamma, margin, tolerance, x1r, cols, floats, flags)
-            # The block's states (x2 is the mirror sign times z2), the
-            # active mask and, with tolerance 0, the required rate.
-            seen.append((x1r, cols[0] * cols[1], flags[2].ravel().copy(), floats[1].ravel().copy()))
+        def spy(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
+            # The block's states, copied out of the workspace before the
+            # screen reuses it: lattice rows x1[:, None] over lattice
+            # columns, or a flat block (x2 is the mirror sign times z2, the
+            # first and last column terms).
+            states = [a.flatten() for a in np.broadcast_arrays(x1, cols[0] * cols[-1])]
+            kept = screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags)
+            # The active mask and, with tolerance 0, the required rate.
+            seen.append((*states, flags[2].ravel().copy(), floats[1].ravel().copy()))
             return kept
 
         monkeypatch.setattr(lyapunov, "_screen", spy)
@@ -620,9 +681,9 @@ class TestVerifyDecrease:
         monkeypatch.setattr(lyapunov, "_CELL", 4)
         verify_decrease(p, n, grid, gamma=gamma, margin=0.0, tolerance=0.0)
         on_boundary, screened = 0, np.zeros((grid.n1, grid.n2), dtype=bool)
-        for x1r, x2, active, required in seen:
-            screened[np.ix_(np.searchsorted(x1s, x1r), np.searchsorted(x2s, x2))] = True
-            v = _thresholds_grid(np.repeat(x1r, x2.size), np.tile(x2, x1r.size), p)[4]
+        for x1, x2, active, required in seen:
+            screened[np.searchsorted(x1s, x1), np.searchsorted(x2s, x2)] = True
+            v = _thresholds_grid(x1, x2, p)[4]
             assert np.array_equal(active, v > n.N)
             on_boundary += np.count_nonzero(v == n.N)
             expected = -gamma * np.sqrt(v[active] - n.N)
@@ -640,7 +701,10 @@ class TestVerifyDecrease:
     # band, is inactive, or lies within eps_cell of a threshold, and all of a
     # proved cell's states lie in one region and one mirror half.  The cells
     # only skip work: the result is, bit for bit, that of the same call with
-    # a cell proof that proves nothing.
+    # a cell proof that proves nothing.  The last four examples have a state
+    # that fails inside a cell whose corners all pass: the proof must keep
+    # its rounding slack, and fold the largest peak rate and the smallest
+    # required rate over all four corners, or it proves that cell.
     @settings(max_examples=60)
     @example(  # W1 cells with corners on both sides of the band at |x2| >= 2.4
         gains=(4.0, 1.1, 1.0, 0.5), N=0.02, box=(-1.03, 0.97, -3.0, 3.0), counts=(41, 41), cell=4,
@@ -653,6 +717,29 @@ class TestVerifyDecrease:
     @example(  # one cell across x2 = 0 whose corners all lie in W1
         gains=(4.0, 1.1, 1.0, 0.5), N=0.0, box=(0.001, 0.009, -0.6, 0.6), counts=(10, 13), cell=12,
         gamma=0.0, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # one cell of 16 x2 steps of an ulp: the peak rate's rounding
+        # makes an inner column fail by 4.4e-16 while the corners pass, which
+        # only the slack keeps from being proved
+        gains=(1.01, 1.4057584571596977, 1.0, 0.5867985714381407), N=0.01,
+        box=(-0.6093318629097535, -0.6093318629097534, 0.2063106400618353, 0.20631064006183575), counts=(2, 17),
+        cell=16, gamma=4.868184762063498, tolerance=0.0, margin=1e-9,
+    )
+    @example(  # W3 cells near the invariant set: the largest corner peak rate is in
+        # the second lattice row, the strictest required rate in the first
+        gains=(3.3518000350781225, 1.745268570364318, 2.1786576633596946, 0.9069285837068504), N=0.2610620651202218,
+        box=(0.2620930360336218, 0.26278724065956904, 0.07192556937702203, 0.07454610511849995), counts=(15, 23),
+        cell=7, gamma=8.265319209765707, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # W3 cells whose strictest required rate is in one lattice column
+        gains=(3.56138313260945, 0.7740650899111969, 1.9775273813710075, 0.6908807825906036), N=0.1867876688312047,
+        box=(0.662264618489748, 0.6667579638416525, 0.40127086867809797, 1.3142753552970976), counts=(22, 9),
+        cell=9, gamma=5.981137717621873, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # a cell whose largest corner peak rate is in its second lattice row
+        gains=(1.6152937401902512, 4.578965546010848, 2.1299289070400174, 0.9037871628105757), N=0.047195819657205436,
+        box=(-2.031116414012194, 0.664223696406476, -2.099380716378717, 1.1827740438228753), counts=(21, 40),
+        cell=7, gamma=4.344429233959295, tolerance=1e-9, margin=1e-9,
     )
     @given(
         gains=st.tuples(finite(1.01, 4.0), finite(0.2, 6.0), finite(0.1, 5.0), st.floats(0.0, 1.0)),
