@@ -260,17 +260,20 @@ def contour_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lyapunov values on a uniform grid over the box; returns (x1s, x2s, V).
 
-    V has shape (len(x1s), len(x2s)).  Raises ValueError when V overflows
-    somewhere on the grid.
+    V is a new float64 array of shape (len(x1s), len(x2s)).  It is
+    evaluated from the axes broadcast against each other, in blocks (see
+    `evaluate_grid`), so the call allocates V and the axes and, beyond
+    them, a fixed workspace: no grid-sized copy of the coordinates.
+    Raises ValueError when V overflows somewhere on the grid.
     """
     n1, n2 = resolution
     if n1 < 2 or n2 < 2:
         raise ValueError(f"resolution must be at least 2x2, got {n1}x{n2}")
     x1s, x2s = GridSpec(*box, n1, n2).axes()
-    g1, g2 = np.meshgrid(x1s, x2s, indexing="ij")
     with np.errstate(over="ignore"):
-        V = evaluate_grid(g1, g2, p)
-    if not np.isfinite(V).all():
+        V = evaluate_grid(x1s[:, None], x2s, p)
+    # V >= 0, so it is finite where its largest value is: no grid-sized mask.
+    if not math.isfinite(V.max()):
         raise ValueError("V must be finite on the grid")
     return x1s, x2s, V
 

@@ -25,13 +25,15 @@ from .params import NoiseLevel, Params, error_upper_bound, is_count
 
 W1, W2, W3 = "W1", "W2", "W3"
 
-# States per certifier block and per batch of the per-sample pass.  The open
-# cells' states are screened in flat blocks of this size, and the states that
-# the screen keeps are checked in batches of it, both in one per-call
-# workspace of 15 float64 and 6 boolean rows of this size (0.5 MB); the
-# lattice is screened a block of lattice points at a time, two rows at least.
-# Fewer, larger blocks make fewer numpy calls; the clean 1500x1500 pass peaks
-# at 0.80 MB traced at this size.
+# States per block of V's array form and of the certifier.  `evaluate_grid`
+# takes its inputs in blocks of at most this size, in a workspace of seven
+# float64 and two boolean rows (0.24 MB).  The certifier screens the open
+# cells' states in flat blocks of this size, and checks the states that the
+# screen keeps in batches of it, both in one per-call workspace of 15 float64
+# and 6 boolean rows of this size (0.5 MB); the lattice is screened a block of
+# lattice points at a time, two rows at least.  Fewer, larger blocks make
+# fewer numpy calls; the clean 1500x1500 pass peaks at 0.80 MB traced at this
+# size.
 _BLOCK_STATES = 1 << 12
 # Grid steps per side of a certifier cell (see verify_decrease).
 _CELL = 16
@@ -110,7 +112,7 @@ class Violations(Sequence):
     required: np.ndarray
 
     def __post_init__(self):
-        self._adopt([np.array(c, dtype=np.float64) for c in self._columns()])
+        self._adopt([np.array(c, dtype=float) for c in self._columns()])
 
     def _adopt(self, cols):
         """Check the float64 arrays' shapes, then keep them, uncopied, as read-only columns."""
@@ -150,7 +152,7 @@ class GridSpec:
     n2: int
 
     def __post_init__(self):
-        if not all(math.isfinite(b) for b in (self.x1_min, self.x1_max, self.x2_min, self.x2_max)):
+        if not all(map(math.isfinite, (self.x1_min, self.x1_max, self.x2_min, self.x2_max))):
             raise ValueError("grid bounds must be finite")
         # An overflowing span would fill the axes with inf and nan.
         if not (math.isfinite(self.x1_max - self.x1_min) and math.isfinite(self.x2_max - self.x2_min)):
@@ -167,32 +169,18 @@ class GridSpec:
         )
 
 
-def _levels(z1, z2, p: Params):
-    """Region thresholds t1, t2 and the W3 value of V at a mirrored state.
-
-    t1 = z2^2 / (4 alpha (lambda2+1) L), t2 = (2 alpha + 1) t1 and
-    W3 = z1 - z2^2 / (2 (lambda2+1) L); floats and arrays alike.
-    """
-    lam2p1L = (p.lambda2 + 1.0) * p.L
-    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
-    return t1, (2.0 * p.alpha + 1.0) * t1, z1 - z2 * z2 / (2.0 * lam2p1L)
-
-
 def _thresholds(x: ErrorState, p: Params):
-    """Mirrored state (z1, z2), thresholds (t1, t2) and W3 value of one state.
+    """Mirrored z1, thresholds t1, t2 and W3 value of one state.
 
-    The mirror maps x2 < 0 onto the half plane where the template W is defined.
+    The mirror maps x2 < 0 onto the half plane where the template W is
+    defined: (z1, z2) = (x1, x2), or (-x1, -x2) when x2 < 0.  Then
+    t1 = z2^2 / (4 alpha (lambda2+1) L), t2 = (2 alpha + 1) t1 and
+    W3 = z1 - z2^2 / (2 (lambda2+1) L).
     """
     z1, z2 = (x.x1, x.x2) if x.x2 >= 0 else (-x.x1, -x.x2)
-    return (z1, z2, *_levels(z1, z2, p))
-
-
-def _thresholds_grid(x1, x2, p: Params):
-    """Array form of `_thresholds`, plus the value of V: (z1, z2, t1, t2, V)."""
-    flip = x2 < 0
-    z1, z2 = np.where(flip, -x1, x1), np.where(flip, -x2, x2)
-    t1, t2, w3 = _levels(z1, z2, p)
-    return z1, z2, t1, t2, np.where(z1 <= t1, 2.0 * t1 - z1, np.where(z1 <= t2, t1, w3))
+    lam2p1L = (p.lambda2 + 1.0) * p.L
+    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
+    return z1, t1, (2.0 * p.alpha + 1.0) * t1, z1 - z2 * z2 / (2.0 * lam2p1L)
 
 
 def region(x: ErrorState, p: Params) -> Region:
@@ -201,20 +189,41 @@ def region(x: ErrorState, p: Params) -> Region:
     Boundaries follow the closed/half-open pattern of the definition:
     W1 for z1 <= t1, W2 for t1 < z1 <= t2, W3 beyond.
     """
-    z1, _, t1, t2, _ = _thresholds(x, p)
-    idx = W1 if z1 <= t1 else W2 if z1 <= t2 else W3
-    return Region(index=idx, mirrored=x.x2 < 0)
+    z1, t1, t2, _ = _thresholds(x, p)
+    return Region(W1 if z1 <= t1 else W2 if z1 <= t2 else W3, x.x2 < 0)
 
 
 def evaluate(x: ErrorState, p: Params) -> float:
     """Value of the piecewise Lyapunov function; nonnegative, zero only at 0."""
-    z1, _, t1, t2, w3 = _thresholds(x, p)
+    z1, t1, t2, w3 = _thresholds(x, p)
     return 2.0 * t1 - z1 if z1 <= t1 else t1 if z1 <= t2 else w3
 
 
 def evaluate_grid(x1, x2, p: Params) -> np.ndarray:
-    """Vectorized `evaluate` over arrays of coordinates."""
-    return _thresholds_grid(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float), p)[4]
+    """Vectorized `evaluate` over the broadcast of two arrays of coordinates.
+
+    Returns a new float64 array of the broadcast shape (0-d for two
+    scalars), equal to `evaluate` at each state bit for bit.  Inputs that
+    do not cast safely to float64 (complex, long double) raise TypeError.
+    The states are taken in blocks of at most `_BLOCK_STATES`, without
+    materialising the broadcast: each block's column terms and V
+    (`_column_terms`, `_value`) are computed in one workspace of 0.24 MB
+    and written straight into the result.  So the call allocates the
+    result and, beyond it, a fixed amount, whatever the size of the inputs.
+    """
+    ws, le = np.empty((7, _BLOCK_STATES)), np.empty((2, _BLOCK_STATES), dtype=bool)
+    with np.nditer(
+        (x1, x2, None),
+        ("external_loop", "buffered", "zerosize_ok"),
+        (["readonly", "contig"], ["readonly", "contig"], ["writeonly", "allocate"]),
+        op_dtypes=float,
+        buffersize=_BLOCK_STATES,
+    ) as it:
+        for a, b, v in it:
+            # z1 goes into the row of eps_cell, which V does not read.
+            cols = _column_terms(b, p, ws[:, : v.size])
+            _value(a, cols, cols[5], *le[:, : v.size], v)
+        return it.operands[2]
 
 
 def sup_x2_on_omega(p: Params, n: NoiseLevel) -> float:
@@ -239,7 +248,7 @@ def decay_rate_gamma(p: Params) -> GammaReport:
     """
     with localcontext() as ctx:
         ctx.prec = 50
-        lam1, lam2, L, alpha = (Decimal(v) for v in (p.lambda1, p.lambda2, p.L, p.alpha))
+        lam1, lam2, L, alpha = map(Decimal, (p.lambda1, p.lambda2, p.L, p.alpha))
         lam2p1 = lam2 + 1
         eps1 = ((alpha + 1) * lam2 + alpha - 1) / (alpha * lam2p1) - lam1 / (2 * alpha * lam2p1).sqrt()
         eps2 = lam1 - 2 * (2 * lam2p1).sqrt()
@@ -253,17 +262,8 @@ def decay_rate_gamma(p: Params) -> GammaReport:
         r3 = eps1 * (2 * alpha * lam2p1 * L).sqrt()
         r4 = (lam2 - 1) * L.sqrt() / (alpha * lam2p1).sqrt()
         r5 = eps2 * L.sqrt()
-        gamma = min(r1, r2, r3, r4, r5)
-    return GammaReport(
-        r_region1_neg=float(r1),
-        r_region1_pos=float(r2),
-        epsilon1=float(eps1),
-        r_region1_eta=float(r3),
-        r_region2=float(r4),
-        epsilon2=float(eps2),
-        r_region3=float(r5),
-        gamma=float(gamma),
-    )
+    # The fields in order, each rounded once; gamma is the least rate.
+    return GammaReport(*map(float, (r1, r2, eps1, r3, r4, eps2, r5, min(r1, r2, r3, r4, r5))))
 
 
 def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
@@ -282,15 +282,15 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     lam2p1L = (p.lambda2 + 1.0) * p.L
     w1, w2, w3, dz1, push, push3 = (None,) * 6 if out is None else out
     arg = np.subtract(z1, eta, out=w1)
-    kink = np.equal(arg, 0.0, out=push3)  # 1 at the kink, 0 elsewhere
+    kink = np.equal(arg, 0.0, out=w3)  # 1 at the kink, 0 elsewhere
     sign = np.sign(arg, out=push)
     root = np.sqrt(np.abs(arg, out=w1), out=w1)
     # dz1 = -k1 sign sqrt|z1 - eta| + z2; at the kink root = 0, so only the
-    # push -k2 s depends on the selection s: sign - kink, and sign + kink for
-    # W3, whose push is the other one's minus 2 k2 there.
+    # push -k2 s depends on the selection s: sign - kink for W1 and W2, and
+    # sign + kink for W3.
     dz1 = np.add(np.multiply(np.multiply(sign, -k1, out=dz1), root, out=dz1), z2, out=dz1)
+    push3 = np.multiply(np.add(sign, kink, out=push3), -k2, out=push3)
     push = np.multiply(np.subtract(sign, kink, out=push), -k2, out=push)
-    push3 = np.subtract(push, np.multiply(kink, 2.0 * k2, out=push3), out=push3)
     for fddot in fddots:
         q3 = np.multiply(z2, np.subtract(push3, fddot, out=w3), out=w3)
         q = np.multiply(z2, np.subtract(push, fddot, out=w2), out=w2)
@@ -299,17 +299,13 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
         yield r1, np.divide(q, 2.0 * p.alpha * lam2p1L, out=w2), r3
 
 
-# The columns of a grid without a failing sample.
-_NO_VIOLATIONS = (np.empty(0),) * 6
-
-
 def _column_terms(x2, p, out):
     """The terms of V's thresholds that depend on x2 only, written into `out`.
 
     The seven rows of `out` get the mirror sign, t1, 2 t1, t2, the W3
     offset -z2^2 / (2 (lambda2+1) L), eps_cell = 1e-9 max(1, |t2|) and z2;
-    t1, t2 and the offset are `_levels(-0.0, z2, p)`'s bit for bit, and
-    `out` is returned.  The mirror multiplies by the sign, which is 1 at
+    t1, t2 and the offset plus z1 are `_thresholds`' bit for bit, and `out`
+    is returned.  The mirror multiplies by the sign, which is 1 at
     x2 = -0.0, so z2 keeps -0.0's bits as np.where(x2 < 0, -x2, x2) does
     (abs would not).
     """
@@ -330,6 +326,49 @@ def _column_terms(x2, p, out):
     return out
 
 
+def _value(x1, cols, z1, le1, le2, v):
+    """V at the states x1 over the column terms `cols` (see `_column_terms`).
+
+    Writes z1 = x1 times the mirror sign into z1, the tests z1 <= t1 and
+    z1 <= t2 into le1 and le2, and V into v, which is returned.  V is
+    `evaluate`'s bit for bit.
+    """
+    msign, t1, two_t1, t2, neg_h = cols[:5]
+    np.multiply(x1, msign, out=z1)
+    np.less_equal(z1, t1, out=le1)
+    np.less_equal(z1, t2, out=le2)
+    # V over its W3 value z1 - z2^2 / (2 (lambda2+1) L), which is z1 + neg_h.
+    np.add(z1, neg_h, out=v)
+    np.copyto(v, t1, where=le2)
+    return np.subtract(two_t1, z1, out=v, where=le1)
+
+
+def _state_terms(n, gamma, margin, tolerance, x1, cols, floats, flags):
+    """The terms of the states x1 over `cols` that every certifier pass reads.
+
+    x1 and `cols` are as for `_screen`, `floats` (three) and `flags` (six)
+    workspace views of their shape.  On return floats hold z1, required +
+    tolerance and the required rate -gamma sqrt(V - N) (V - N where
+    inactive), and flags the tests z1 <= t1, z1 <= t2, active (V > N +
+    margin), then scratch, |z1 - t1| <= eps_cell and |z1 - t2| <= eps_cell.
+    Raises ValueError when V or the required rate is not finite.
+    """
+    z1, limit, required = floats
+    le1, le2, active, finite, near1, near2 = flags
+    # V goes into the row of the required rate, which is computed from it.
+    _value(x1, cols, z1, le1, le2, required)
+    for t, near in ((cols[1], near1), (cols[3], near2)):
+        np.less_equal(np.abs(np.subtract(z1, t, out=limit), out=limit), cols[5], out=near)
+    np.greater(required, n.N + margin, out=active)
+    # The required rate -gamma sqrt(V - N) of the active states.
+    np.subtract(required, n.N, out=required)
+    np.sqrt(required, out=required, where=active)
+    np.multiply(required, -gamma, out=required, where=active)
+    if not np.isfinite(required, out=finite).all():
+        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
+    np.add(required, tolerance, out=limit)
+
+
 def _screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
     """Flat indices of the states x1 over `cols` that need the per-sample pass.
 
@@ -340,38 +379,20 @@ def _screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
     are written.  Kept are the active states (V > N + margin) that fail at
     the peak of their branch (see verify_decrease), lie in the noise band,
     or lie within eps_cell of a threshold (checked on both adjacent
-    branches).  On return floats[:3] hold z1, required + tolerance and the
-    required rate -gamma sqrt(V - N) (V - N where inactive), floats[5] the
-    peak rate, and flags the tests z1 <= t1, z1 <= t2, active, kept,
-    |z1 - t1| <= eps_cell and |z1 - t2| <= eps_cell.
+    branches).  On return floats[:3] and flags hold the state terms (see
+    `_state_terms`), floats[5] the peak rate, and flags[3] which states
+    are kept.
     """
     N, L = n.N, p.L
-    msign, t1, two_t1, t2, neg_h, eps_cell, z2 = cols
-    z1, limit, required, w1, w2 = floats[:5]
+    z1, limit, _, w1, w2 = floats[:5]
     le1, le2, active, keep, near1, near2 = flags
-    np.multiply(x1, msign, out=z1)
-    np.less_equal(z1, t1, out=le1)
-    np.less_equal(z1, t2, out=le2)
-    np.less_equal(np.abs(np.subtract(z1, t1, out=limit), out=limit), eps_cell, out=near1)
-    np.less_equal(np.abs(np.subtract(z1, t2, out=limit), out=limit), eps_cell, out=near2)
-    # V over its W3 value z1 - z2^2 / (2 (lambda2+1) L), which is z1 + neg_h.
-    v = np.add(z1, neg_h, out=required)
-    np.copyto(v, t1, where=le2)
-    np.subtract(two_t1, z1, out=v, where=le1)
-    np.greater(v, N + margin, out=active)
-    # The required rate -gamma sqrt(V - N) of the active states.
-    np.subtract(v, N, out=required)
-    np.sqrt(required, out=required, where=active)
-    np.multiply(required, -gamma, out=required, where=active)
-    if not np.isfinite(required, out=keep).all():
-        raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
-    np.add(required, tolerance, out=limit)
+    _state_terms(n, gamma, margin, tolerance, x1, cols, floats[:3], flags)
     # W1 peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L and W3 at (N, L).
     w1.fill(N)
     np.copyto(w1, -N, where=le1)
     w2.fill(L)
     np.copyto(w2, -L, where=le2)
-    ((r1, r2, worst),) = _wdot_branches(z1, z2, w1, (w2,), p, out=floats[3:])
+    ((r1, r2, worst),) = _wdot_branches(z1, cols[6], w1, (w2,), p, out=floats[3:])
     np.copyto(worst, r2, where=le2)
     np.copyto(worst, r1, where=le1)
     np.greater(worst, limit, out=keep)
@@ -457,19 +478,19 @@ def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
     """Check states sample by sample; returns their failing samples in order.
 
     x1 and x2 are a flat batch of states that the screen kept, and `ws`
-    (eleven) and `flags` (six) workspace rows of their size.  The batch is
-    screened again for its terms (ws[1:4] and flags), and the column terms
-    but z2 (ws[4:10]) then serve as the branches' rows.  Each eta slot and
-    fddot is evaluated over the whole batch (eta = z1 too, where only the
-    states strictly inside the band count), and every branch derivative is
-    folded into the observed rate (ws[0]), in branch order, where that
-    branch applies.  The failing samples are then gathered and ordered by
+    (eleven) and `flags` (six) workspace rows of their size.  The batch's
+    state terms (see `_state_terms`) go into ws[1:4] and flags, and the
+    column terms but z2 (ws[4:10]) then serve as the branches' rows; the
+    branch peaks are not evaluated.  Each eta slot and fddot is evaluated
+    over the whole batch (eta = z1 too, where only the states strictly
+    inside the band count), and every branch derivative is folded into the
+    observed rate (ws[0]), in branch order, where that branch applies.  The failing samples are then gathered and ordered by
     (state, eta slot, fddot) into the six columns of `Violations`: nothing
     else is allocated per state.
     """
     N, L = n.N, p.L
     cols = _column_terms(x2, p, ws[4:])
-    _screen(p, n, gamma, margin, tolerance, x1, cols, ws[1:10], flags)
+    _state_terms(n, gamma, margin, tolerance, x1, cols, ws[1:4], flags)
     observed, z1, limit, required = ws[:4]
     le1, le2, active, _, near1, near2 = flags
     # The branches that apply: W1, W2 and W3, and both within eps_cell of a
@@ -501,8 +522,8 @@ def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
     j, g, e = j[order], g[order], e[order]
     # Report in the original (unmirrored) coordinates.
     x1r, x2r = x1[j], x2[j]
-    mir = x2r < 0
-    return x1r, x2r, np.where(mir, -e, e), np.where(mir, -g, g), observed[order], required[j]
+    sign = np.where(x2r < 0, -1.0, 1.0)
+    return x1r, x2r, e * sign, g * sign, observed[order], required[j]
 
 
 def _failing_samples(p, n, gamma, margin, tolerance, grid):
@@ -608,15 +629,16 @@ def verify_decrease(
     """
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
-    if not all(math.isfinite(v) for v in (gamma, margin, tolerance)):
-        raise ValueError(f"gamma, margin and tolerance must be finite, got {gamma}, {margin}, {tolerance}")
     for name, value in (("gamma", gamma), ("margin", margin), ("tolerance", tolerance)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     # An overflow shows as a non-finite V or required rate, which raises.
     with np.errstate(over="ignore"):
         # The workspace is released before the join, the call's peak.
-        chunks = [_NO_VIOLATIONS, *_failing_samples(p, n, gamma, margin, tolerance, grid)]
+        # The first chunk is the columns of a grid without a failing sample.
+        chunks = [(np.empty(0),) * 6, *_failing_samples(p, n, gamma, margin, tolerance, grid)]
     result = object.__new__(Violations)  # the join is its own: adopted, not copied
     result._adopt([np.concatenate(c) for c in zip(*chunks)])
     return result
@@ -627,6 +649,6 @@ def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> No
     header x1,x2,eta,fddot,observed,required; records become columns first."""
     if not isinstance(violations, Violations):
         rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
-        violations = Violations(*np.array(rows, dtype=np.float64).reshape(-1, 6).T)
+        violations = Violations(*np.reshape(rows, (-1, 6)).T)
     fileobj.write("x1,x2,eta,fddot,observed,required\n")
     fileobj.writelines(map("%r,%r,%r,%r,%r,%r\n".__mod__, zip(*(c.tolist() for c in violations._columns()))))

@@ -9,7 +9,9 @@ difference of V, and the four-slot pass is the certifier as it was before
 it dropped the straddling eta samples outside the noise band.  The
 error-system recurrences step the paper's error dynamics directly in
 x = (y1 - f, y2 - fdot), as a reference for the harness, which runs them
-through the differentiator loop instead.
+through the differentiator loop instead.  `_thresholds_grid` is the array
+form of V as whole-array `np.where` selections, the reference for the
+library's blocked form.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from stwdiff import ErrorState, Params, evaluate, region
 from stwdiff import differentiator as stw
-from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, _wdot_branches
+from stwdiff.lyapunov import DecreaseViolation, _wdot_branches
 
 PREC = 50
 
@@ -141,6 +143,20 @@ def sigma_residual(r: float, a: float, b: float, sigma: float, xi: float) -> Dec
         s, r, a, b, xi = dec(sigma, r, a, b, xi)
         root = abs(s).sqrt()
         return s + a * (-root if s < 0 else root) + b * xi - r
+
+
+def _thresholds_grid(x1, x2, p: Params):
+    """Mirrored state, thresholds and V over arrays of coordinates: (z1, z2, t1, t2, V).
+
+    Each step is one whole-array operation, and each branch of V is taken
+    by `np.where`; the thresholds are those of the scalar `evaluate`.
+    """
+    flip = x2 < 0
+    z1, z2 = np.where(flip, -x1, x1), np.where(flip, -x2, x2)
+    lam2p1L = (p.lambda2 + 1.0) * p.L
+    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
+    t2, w3 = (2.0 * p.alpha + 1.0) * t1, z1 - z2 * z2 / (2.0 * lam2p1L)
+    return z1, z2, t1, t2, np.where(z1 <= t1, 2.0 * t1 - z1, np.where(z1 <= t2, t1, w3))
 
 
 def vdot_analytic(x: ErrorState, p: Params, eta: float, fddot: float) -> float:

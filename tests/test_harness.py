@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -480,6 +481,21 @@ class TestContour:
             contour_grid(P_REF, (0.0, 0.0, -1.0, 1.0), (5, 5))
         with pytest.raises(ValueError):
             contour_grid(P_REF, (-1.0, 1.0, -1.0, 1.0), (1, 5))
+
+    # V is evaluated from the axes, broadcast, in blocks: the call's peak is
+    # V, the axes and a fixed workspace, not coordinate grids and whole-grid
+    # temporaries (176 MB traced at 1500x1500 when it built them).
+    def test_grid_allocates_v_and_little_more(self):
+        contour_grid(P_REF, (-3.0, 3.0, -3.0, 3.0), (3, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, _, V = contour_grid(P_REF, (-3.0, 3.0, -3.0, 3.0), (1500, 1500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.shape == (1500, 1500)
+        assert peak - before <= V.nbytes + 1_000_000
 
     def test_overflowing_v_rejected(self):
         # V grows like x2^2, so it overflows at |x2| = 1e200 although the box is finite.

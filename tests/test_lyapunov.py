@@ -36,7 +36,8 @@ from stwdiff import (
     verify_decrease,
 )
 from stwdiff import lyapunov
-from stwdiff.lyapunov import DecreaseViolation, _thresholds_grid, _wdot_branches, write_violations_csv
+from oracles import _thresholds_grid
+from stwdiff.lyapunov import DecreaseViolation, _wdot_branches, write_violations_csv
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 # Parameter set of the contour figure: alpha (lambda2 + 1) L = 4.
@@ -45,6 +46,7 @@ N_UNIT = NoiseLevel(1.0)
 N_SMALL = NoiseLevel(0.01)
 # The lambda2 = 0.5 mutant of the reference gains, probed with the reference gamma.
 P_MUTANT = Params(4.1, 0.5, 1.0, 4.0)
+BLOCK = lyapunov._BLOCK_STATES
 
 
 def thresholds(z2, p):
@@ -174,6 +176,61 @@ class TestRegionAndValue:
             regions = [region(ErrorState(a, b), p) for a, b in zip(x1, x2)]
             assert [r.index for r in regions] == list(branch)
             assert [r.mirrored for r in regions] == list(x2 < 0)
+
+    # evaluate_grid takes the states of its inputs' broadcast in blocks of
+    # _BLOCK_STATES.  Whatever the inputs' shape, memory order, strides or
+    # dtype, and wherever a block boundary falls, it equals the scalar
+    # `evaluate` and the whole-array reference bit for bit, on states that
+    # lie on t1 or t2 and at x2 = 0.0 and -0.0.
+    @pytest.mark.parametrize("size", (0, 1, BLOCK - 1, BLOCK, BLOCK + 1))
+    @pytest.mark.parametrize("layout", ("flat", "0-d", "broadcast", "fortran", "strided", "int"))
+    @settings(max_examples=2, derandomize=True)
+    @given(
+        gains=st.tuples(finite(0.5, 8.0), finite(0.2, 4.0), finite(0.1, 5.0), finite(1.01, 4.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluate_grid_is_evaluate_in_any_layout(self, layout, size, gains, seed):
+        p, rng = Params(*gains), np.random.default_rng(seed)
+        x2 = rng.uniform(-5.0, 5.0, size)
+        x2[rng.random(size) < 0.1] = 0.0
+        x2[rng.random(size) < 0.1] = -0.0
+        # Two fifths of the states lie on t1 or t2 after the mirror.
+        mirror = np.where(x2 < 0, -1.0, 1.0)
+        pick = rng.choice(3, size, p=(0.6, 0.2, 0.2))
+        x1 = np.choose(pick, (rng.uniform(-5.0, 5.0, size), *thresholds(x2, p))) * mirror
+        # Rows and columns of a 2-D grid of `size` states.
+        m = max((d for d in range(1, math.isqrt(size) + 1) if size % d == 0), default=0)
+        k = size // m if m else 0
+        a, b = {
+            "flat": lambda: (x1, x2),
+            "0-d": lambda: (float(x1[0]), np.float64(x2[0])) if size else (1.5, np.array(-0.0)),
+            # Row i and column i keep the states' pairing on the diagonal.
+            "broadcast": lambda: (x1[:m, None], x2[:k]),
+            "fortran": lambda: (np.asfortranarray(x1.reshape(m, k)), np.asfortranarray(x2.reshape(m, k))),
+            "strided": lambda: (np.repeat(x1, 3)[::3], x2[::-1].copy()[::-1]),
+            "int": lambda: (rng.integers(-5, 6, size, dtype=np.int32), rng.integers(-5, 6, size)),
+        }[layout]()
+        u, w = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        got = evaluate_grid(a, b, p)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == u.shape
+        scalar = [evaluate(ErrorState(s, t), p) for s, t in zip(u.ravel().tolist(), w.ravel().tolist())]
+        assert np.array_equal(got.ravel().view(np.uint64), np.array(scalar, dtype=float).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), _thresholds_grid(u, w, p)[4].view(np.uint64))
+
+    # evaluate_grid allocates its result and a fixed workspace, not
+    # temporaries the size of its inputs (6.6 MB traced on 100,001 states
+    # when it evaluated whole arrays).
+    def test_evaluate_grid_allocates_its_result_and_a_workspace(self):
+        x1, x2 = np.random.default_rng(9).uniform(-3.0, 3.0, (2, 100_001))
+        evaluate_grid(x1[:5], x2[:5], P_REF)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            v = evaluate_grid(x1, x2, P_REF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= v.nbytes + 600_000
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
