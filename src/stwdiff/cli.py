@@ -136,7 +136,7 @@ def cmd_verify_lyapunov(args):
         f"gamma={gamma!r}",
         f"states={grid.n1 * grid.n2}",
         f"violations={len(violations)}",
-    ], lambda fh: lyapunov.write_violations_csv(fh, violations)
+    ], lambda fh: harness.write_violations_csv(fh, violations)
 
 
 def cmd_contour(args):

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import differentiator as stw
-from .lyapunov import ErrorState, GridSpec, evaluate_grid
+from .lyapunov import DecreaseViolation, ErrorState, GridSpec, Violations, evaluate_grid
 from .params import NoiseLevel, Params, error_lower_bound, error_upper_bound
 from .signals import SignalPair, TimeFn, sample_each
 
@@ -282,18 +283,26 @@ def contour_grid(
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_rows(fileobj, header: str, cols) -> None:
-    """Write the header line, then one row per index of the equal-length columns.
+def _write_rows(fileobj, header: str, cols, fmt: str = "{:.17g}") -> None:
+    """Write the header line, then one row per index of the columns' broadcast, in C order.
 
-    Every value is printed with 17 significant digits, so parsing the text
-    back gives the same float64 bits.
+    Each value is printed as a Python float with `fmt`; the default's 17
+    significant digits parse back to the same float64 bits.  The rows are
+    formatted at most `_CSV_CHUNK_ROWS` at a time from the iterator's
+    buffers, so no grid-sized copy of a broadcast column is made.
     """
     fileobj.write(header + "\n")
-    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    for lo in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
-        chunk = [c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in cols]
-        fileobj.write("".join(map(row.format, *chunk)))
+    row = ",".join([fmt] * len(cols)) + "\n"
+    with np.nditer(
+        cols,
+        ("external_loop", "buffered", "zerosize_ok"),
+        [["readonly", "contig"]] * len(cols),
+        op_dtypes=float,
+        order="C",
+        buffersize=_CSV_CHUNK_ROWS,
+    ) as it:
+        for chunk in it:
+            fileobj.write("".join(map(row.format, *(c.tolist() for c in chunk))))
 
 
 def write_trajectory_csv(fileobj, rec: TrajectoryRecord) -> None:
@@ -322,4 +331,17 @@ def read_trajectory_csv(fileobj) -> TrajectoryRecord:
 
 def write_contour_csv(fileobj, x1s: np.ndarray, x2s: np.ndarray, V: np.ndarray) -> None:
     """Emit the contour grid as x1,x2,V rows in x1-major order."""
-    _write_rows(fileobj, "x1,x2,V", [np.repeat(x1s, len(x2s)), np.tile(x2s, len(x1s)), V.ravel()])
+    _write_rows(fileobj, "x1,x2,V", [x1s[:, None], x2s, V])
+
+
+def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> None:
+    """Emit violations as x1,x2,eta,fddot,observed,required rows, each value its float repr.
+
+    Takes a `Violations` result or any records; records become columns first.
+    """
+    if not isinstance(violations, Violations):
+        rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
+        violations = Violations(*np.reshape(rows, (-1, 6)).T)
+    _write_rows(
+        fileobj, "x1,x2,eta,fddot,observed,required", [getattr(violations, f.name) for f in fields(violations)], "{!r}"
+    )

@@ -15,13 +15,13 @@ produce spurious violations) against extreme admissible disturbances.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .params import NoiseLevel, Params, error_upper_bound, is_count
+from .params import NoiseLevel, Params, _margins, error_upper_bound, is_count
 
 W1, W2, W3 = "W1", "W2", "W3"
 
@@ -239,24 +239,22 @@ def omega_contains(x: ErrorState, p: Params, n: NoiseLevel) -> bool:
 def decay_rate_gamma(p: Params) -> GammaReport:
     """Assemble the five per-case decrease rates and their minimum.
 
-    The margins epsilon1 and epsilon2 are differences of nearly equal
-    quantities and cancel catastrophically near the admissibility boundary,
-    so the whole report is evaluated in extended precision and rounded
-    once per field.  Raises ValueError when either margin is nonpositive
-    (equivalently, when the gain condition fails), since no positive
-    decrease rate exists then.
+    The margins epsilon1 and epsilon2 come from `params._margins`, which
+    `validate_condition` decides from too, and the whole report is evaluated
+    in the same 50-digit precision and rounded once per field.  Raises
+    ValueError when either margin is nonpositive (equivalently, when the
+    gain condition fails), since no positive decrease rate exists then.
     """
+    eps1, eps2 = _margins(p)
+    if eps1 <= 0 or eps2 <= 0:
+        raise ValueError(
+            "gain condition violated: decrease-rate margins are "
+            f"epsilon1={float(eps1):.6g}, epsilon2={float(eps2):.6g} (both must be positive)"
+        )
     with localcontext() as ctx:
         ctx.prec = 50
         lam1, lam2, L, alpha = map(Decimal, (p.lambda1, p.lambda2, p.L, p.alpha))
         lam2p1 = lam2 + 1
-        eps1 = ((alpha + 1) * lam2 + alpha - 1) / (alpha * lam2p1) - lam1 / (2 * alpha * lam2p1).sqrt()
-        eps2 = lam1 - 2 * (2 * lam2p1).sqrt()
-        if eps1 <= 0 or eps2 <= 0:
-            raise ValueError(
-                "gain condition violated: decrease-rate margins are "
-                f"epsilon1={float(eps1):.6g}, epsilon2={float(eps2):.6g} (both must be positive)"
-            )
         r1 = lam1 * (L / 2).sqrt()
         r2 = (alpha - 1) / alpha * (alpha * lam2p1 * L).sqrt()
         r3 = eps1 * (2 * alpha * lam2p1 * L).sqrt()
@@ -643,12 +641,3 @@ def verify_decrease(
     result._adopt([np.concatenate(c) for c in zip(*chunks)])
     return result
 
-
-def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> None:
-    """Emit violations (a `Violations` result or any records) as CSV with
-    header x1,x2,eta,fddot,observed,required; records become columns first."""
-    if not isinstance(violations, Violations):
-        rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
-        violations = Violations(*np.reshape(rows, (-1, 6)).T)
-    fileobj.write("x1,x2,eta,fddot,observed,required\n")
-    fileobj.writelines(map("%r,%r,%r,%r,%r,%r\n".__mod__, zip(*(c.tolist() for c in violations._columns()))))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cached_property
 
 
@@ -86,13 +87,34 @@ class GainInterval:
         return (not self.empty) and self.lo < lambda1 < self.hi
 
 
+def _margins(p: Params) -> tuple[Decimal, Decimal]:
+    """The decrease-rate margins (epsilon1, epsilon2) of the gain condition, to 50 digits.
+
+    epsilon1 = ((alpha+1)lambda2+alpha-1)/(alpha(lambda2+1)) - lambda1/sqrt(2 alpha(lambda2+1))
+    and epsilon2 = lambda1 - 2 sqrt(2(lambda2+1)) are positive exactly when
+    lambda1 is below the condition's upper limit and above its lower one.
+    Both are differences of nearly equal quantities that cancel near those
+    limits, so they are evaluated from the gains' exact binary values in
+    50-digit decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam1, lam2, alpha = map(Decimal, (p.lambda1, p.lambda2, p.alpha))
+        lam2p1 = lam2 + 1
+        eps1 = ((alpha + 1) * lam2 + alpha - 1) / (alpha * lam2p1) - lam1 / (2 * alpha * lam2p1).sqrt()
+        return eps1, lam1 - 2 * (2 * lam2p1).sqrt()
+
+
 def validate_condition(p: Params) -> bool:
     """True iff 1 < lambda1/sqrt(8(lambda2+1)) < ((alpha+1)lambda2+alpha-1)/(2 sqrt(alpha)(lambda2+1)).
 
-    That is, iff lambda1 lies in the open interval `lambda1_range`; floating
-    equality at either endpoint returns False.
+    Decided by the signs of both margins (`_margins`), the same test as
+    :func:`stwdiff.lyapunov.decay_rate_gamma`'s, so the two agree on every
+    gain set.  The ends of `lambda1_range`, which `stwdiff validate` prints,
+    are rounded to float: within a few ulps of them, membership in that
+    interval can disagree with this test.
     """
-    return lambda1_range(p.lambda2, p.alpha).contains(p.lambda1)
+    return min(_margins(p)) > 0
 
 
 def lambda2_min(alpha: float) -> float:
@@ -108,12 +130,14 @@ def lambda2_min(alpha: float) -> float:
 
 
 def lambda1_range(lambda2: float, alpha: float) -> GainInterval:
-    """Open interval of lambda1 values satisfying the gain condition.
+    """Open interval of lambda1 values satisfying the gain condition, ends rounded to float.
 
     lo = sqrt(8(lambda2+1)); hi uses the algebraically simplified form
     ((alpha+1)lambda2 + alpha - 1) * sqrt(2(lambda2+1)/alpha) / (lambda2+1)
     to avoid cancellation near the empty-interval boundary.  The interval
-    is empty exactly when lambda2 <= lambda2_min(alpha).
+    is empty exactly when lambda2 <= lambda2_min(alpha).  Each end is
+    rounded to float, so within a few ulps of an end, membership can differ
+    from :func:`validate_condition`, which decides from 50-digit margins.
     """
     check_positive_finite("lambda2", lambda2)
     check_alpha(alpha)

@@ -37,6 +37,19 @@ class TestValidate:
         assert code == 1
         assert "condition: violated" in out
 
+    # lambda1 is one ulp below the printed upper end of the interval, but
+    # above the exact end: validate and verify-lyapunov decide from the same
+    # margins, so both refuse these gains.
+    def test_validate_agrees_with_verify_lyapunov_at_an_interval_end(self, capsys):
+        gains = ["--lambda1", "13.801938411965779", "--lambda2", "18.36249455485987", "--alpha", "2.8428798701485913"]
+        code, out, _ = run_cli(capsys, ["validate", *gains])
+        assert code == 1
+        assert "condition: violated" in out
+        assert "lambda1_interval=(12.445881103356202, 13.80193841196578)" in out
+        code, _, err = run_cli(capsys, ["verify-lyapunov", *gains, "--resolution", "10x10"])
+        assert code == 1
+        assert "gain condition violated" in err
+
     def test_empty_interval_report(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--lambda2", "1.0"])
         assert code == 1

@@ -13,10 +13,12 @@ import oracles
 from stwdiff import (
     DiffState,
     ErrorState,
+    GridSpec,
     NoiseLevel,
     Params,
     SimConfig,
     StepScheme,
+    Violations,
     contour_grid,
     decay_rate_gamma,
     error_summary,
@@ -30,11 +32,12 @@ from stwdiff import (
     simulate_error_system,
     step_explicit,
     step_implicit,
+    verify_decrease,
     write_contour_csv,
     write_trajectory_csv,
 )
 from stwdiff import harness
-from stwdiff.harness import TRAJECTORY_COLUMNS, TrajectoryRecord
+from stwdiff.harness import TRAJECTORY_COLUMNS, TrajectoryRecord, write_violations_csv
 from stwdiff.signals import SignalPair, WorstCaseSpec, worst_case_pair
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
@@ -551,6 +554,58 @@ class TestCsv:
         write_trajectory_csv(buf, TrajectoryRecord(*cols))
         rows = [",".join(format(float(v), ".17g") for v in row) for row in cols.T]
         assert buf.getvalue() == "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"
+        # A broadcast grid, x1-major, whose rows straddle the chunks; V is a
+        # strided view.
+        x1s, x2s, V = cols[0, :3], cols[1, : harness._CSV_CHUNK_ROWS + 5], cols[2:5, : harness._CSV_CHUNK_ROWS + 5]
+        buf = io.StringIO()
+        write_contour_csv(buf, x1s, x2s, V)
+        rows = [
+            ",".join(format(v, ".17g") for v in (a, b, V[i, j].item()))
+            for i, a in enumerate(x1s.tolist())
+            for j, b in enumerate(x2s.tolist())
+        ]
+        assert buf.getvalue() == "\n".join(["x1,x2,V", *rows]) + "\n"
+        # The violations' format: each value's repr.
+        buf = io.StringIO()
+        write_violations_csv(buf, Violations(*cols[:6]))
+        rows = [",".join(map(repr, row)) for row in cols[:6].T.tolist()]
+        assert buf.getvalue() == "\n".join(["x1,x2,eta,fddot,observed,required", *rows]) + "\n"
+
+    # The writer formats a chunk of rows at a time from its columns'
+    # broadcast, so it holds one chunk's numbers and text: 0.8 MB traced for
+    # the 1500x1500 contour, 1.7 MB for the 52,676 rows of the benchmark's
+    # 400x400 mutant probe.  The contour's repeated coordinate columns took
+    # 37 MB, and the violations' whole-column lists 10 MB, before the first
+    # row was written.  The sink stops the write after three chunks, when the
+    # peak has been reached: a whole traced 1500x1500 write takes 25 s.
+    def test_writers_hold_one_chunk_of_rows(self):
+        class Stop(Exception):
+            pass
+
+        class Sink(io.TextIOBase):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 4:
+                    raise Stop
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                with pytest.raises(Stop):
+                    write(Sink())
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        x1s, x2s, V = contour_grid(P_REF, (-3.0, 3.0, -3.0, 3.0), (1500, 1500))
+        assert peak(lambda fh: write_contour_csv(fh, x1s, x2s, V)) <= 2_000_000
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)
+        violations = verify_decrease(Params(4.1, 0.5, 1.0, 4.0), N_REF, grid, gamma=decay_rate_gamma(P_REF).gamma)
+        assert len(violations) == 52676
+        assert peak(lambda fh: write_violations_csv(fh, violations)) <= 3_000_000
 
     @settings(max_examples=100)
     @given(st.binary(min_size=64, max_size=64 * 40))

@@ -37,7 +37,8 @@ from stwdiff import (
 )
 from stwdiff import lyapunov
 from oracles import _thresholds_grid
-from stwdiff.lyapunov import DecreaseViolation, _wdot_branches, write_violations_csv
+from stwdiff.harness import write_violations_csv
+from stwdiff.lyapunov import DecreaseViolation, _wdot_branches
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 # Parameter set of the contour figure: alpha (lambda2 + 1) L = 4.
@@ -349,6 +350,30 @@ class TestGamma:
         with pytest.raises(ValueError):
             decay_rate_gamma(Params(4.1, 0.5, 1.0, 4.0))
 
+    # validate_condition and decay_rate_gamma decide from the same margins,
+    # so they agree at every lambda1, including the few ulps around the
+    # rounded float ends of lambda1_range where the exact ends lie.
+    @settings(max_examples=100)
+    @given(
+        alpha=finite(1.01, 4.0),
+        lambda2=finite(0.2, 20.0),
+        upper=st.booleans(),
+        ulps=st.integers(-3, 3),
+    )
+    def test_condition_is_gamma_existing_at_the_float_ends(self, alpha, lambda2, upper, ulps):
+        interval = stwdiff.lambda1_range(lambda2, alpha)
+        assume(not interval.empty)
+        lambda1 = interval.hi if upper else interval.lo
+        for _ in range(abs(ulps)):
+            lambda1 = math.nextafter(lambda1, math.copysign(math.inf, ulps))
+        p = Params(lambda1, lambda2, 1.0, alpha)
+        try:
+            decay_rate_gamma(p)
+        except ValueError:
+            assert not validate_condition(p)
+        else:
+            assert validate_condition(p)
+
     def test_margin_sign_matches_condition(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -450,6 +475,18 @@ class TestVdot:
         for b, rising in enumerate((etas > z1, etas > z1, etas < z1)):
             assert np.all(at_etas[b][rising] <= kink[b])
             assert np.all(at_etas[b] <= max(kink[b], lo[b], hi[b]))
+
+    # With N = 0 the band is the point eta = 0, where the kink meets signed
+    # zeros: at x1 = 0, x2 < 0 the mirror gives z1 = -0.0 against eta = +0.0,
+    # and the screen's -N row gives eta = -0.0 against z1 = +0.0.  Both are
+    # the kink, at each branch's worst selection, whatever the zeros' signs.
+    @pytest.mark.parametrize("z1, eta", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_kink_at_signed_zeros(self, z1, eta):
+        z2 = 1.5
+        for fddot in (-P_REF.L, P_REF.L):
+            (kink,) = _wdot_branches(z1, z2, eta, (fddot,), P_REF)
+            worst = [max(a, b) for a, b in zip(kink_rates(z2, fddot, -1.0, P_REF), kink_rates(z2, fddot, 1.0, P_REF))]
+            assert [float(r) for r in kink] == worst
 
 
 class TestVerifyDecrease:
