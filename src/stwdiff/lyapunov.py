@@ -15,6 +15,7 @@ produce spurious violations) against extreme admissible disturbances.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
@@ -167,6 +168,12 @@ class GridSpec:
             np.linspace(self.x1_min, self.x1_max, self.n1),
             np.linspace(self.x2_min, self.x2_max, self.n2),
         )
+
+
+# The inputs of one `verify_decrease` call, once they are checked: the gains
+# (Params), the noise bound N, gamma, margin and tolerance.  The certifier's
+# passes take them as their first argument.
+_Check = namedtuple("_Check", "p N gamma margin tolerance")
 
 
 def _thresholds(x: ErrorState, p: Params):
@@ -341,7 +348,7 @@ def _value(x1, cols, z1, le1, le2, v):
     return np.subtract(two_t1, z1, out=v, where=le1)
 
 
-def _state_terms(n, gamma, margin, tolerance, x1, cols, floats, flags):
+def _state_terms(chk, x1, cols, floats, flags):
     """The terms of the states x1 over `cols` that every certifier pass reads.
 
     x1 and `cols` are as for `_screen`, `floats` (three) and `flags` (six)
@@ -357,17 +364,17 @@ def _state_terms(n, gamma, margin, tolerance, x1, cols, floats, flags):
     _value(x1, cols, z1, le1, le2, required)
     for t, near in ((cols[1], near1), (cols[3], near2)):
         np.less_equal(np.abs(np.subtract(z1, t, out=limit), out=limit), cols[5], out=near)
-    np.greater(required, n.N + margin, out=active)
+    np.greater(required, chk.N + chk.margin, out=active)
     # The required rate -gamma sqrt(V - N) of the active states.
-    np.subtract(required, n.N, out=required)
+    np.subtract(required, chk.N, out=required)
     np.sqrt(required, out=required, where=active)
-    np.multiply(required, -gamma, out=required, where=active)
+    np.multiply(required, -chk.gamma, out=required, where=active)
     if not np.isfinite(required, out=finite).all():
         raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
-    np.add(required, tolerance, out=limit)
+    np.add(required, chk.tolerance, out=limit)
 
 
-def _screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
+def _screen(chk, x1, cols, floats, flags):
     """Flat indices of the states x1 over `cols` that need the per-sample pass.
 
     x1 and the column terms `cols` (see `_column_terms`) are lattice rows
@@ -381,15 +388,15 @@ def _screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
     `_state_terms`), floats[5] the peak rate, and flags[3] which states
     are kept.
     """
-    N, L = n.N, p.L
+    p, N = chk.p, chk.N
     z1, limit, _, w1, w2 = floats[:5]
     le1, le2, active, keep, near1, near2 = flags
-    _state_terms(n, gamma, margin, tolerance, x1, cols, floats[:3], flags)
+    _state_terms(chk, x1, cols, floats[:3], flags)
     # W1 peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L and W3 at (N, L).
     w1.fill(N)
     np.copyto(w1, -N, where=le1)
-    w2.fill(L)
-    np.copyto(w2, -L, where=le2)
+    w2.fill(p.L)
+    np.copyto(w2, -p.L, where=le2)
     ((r1, r2, worst),) = _wdot_branches(z1, cols[6], w1, (w2,), p, out=floats[3:])
     np.copyto(worst, r2, where=le2)
     np.copyto(worst, r1, where=le1)
@@ -406,7 +413,7 @@ def _fold(a, f):
     return f(a[:-1], a[1:])
 
 
-def _prove_cells(p, n, gamma, margin, tolerance, x1s, x2s, er, ec, ws):
+def _prove_cells(chk, x1s, x2s, er, ec, ws):
     """Which cells of the vertex lattice hold no state with a failing sample.
 
     Cell (i, j) spans lattice rows i, i + 1 and columns j, j + 1 (indices
@@ -416,16 +423,16 @@ def _prove_cells(p, n, gamma, margin, tolerance, x1s, x2s, er, ec, ws):
     verdicts (see verify_decrease).
     """
     rows, columns = np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1)
-    cols = _column_terms(x2s[columns], p, np.empty((7, columns.size)))
+    cols = _column_terms(x2s[columns], chk.p, np.empty((7, columns.size)))
     one_half, z2max = cols[0, :-1] == cols[0, 1:], np.maximum(cols[6, :-1], cols[6, 1:])
     x1l = x1s[rows]
-    off_band = (x1l[:-1] > n.N) | (x1l[1:] < -n.N)
+    off_band = (x1l[:-1] > chk.N) | (x1l[1:] < -chk.N)
     proved = np.empty((rows.size - 1, columns.size - 1), dtype=bool)
     k = max(2, _BLOCK_STATES // columns.size)
     for s in range(0, rows.size - 1, k - 1):
         x1r = x1l[s : s + k]
         floats, flags = (w[:, : x1r.size * columns.size].reshape(len(w), x1r.size, -1) for w in ws)
-        _screen(p, n, gamma, margin, tolerance, x1r[:, None], cols, floats, flags)
+        _screen(chk, x1r[:, None], cols, floats, flags)
         # The region as a code, 2 for W1, 1 for W2 and 0 for W3; -1 where the
         # corner is inactive or kept (near a threshold, in the band, failing).
         code = np.add(flags[0], flags[1], dtype=np.int8)
@@ -472,7 +479,7 @@ def _carry(pieces, buf):
         yield fill
 
 
-def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
+def _verify_states(chk, x1, x2, ws, flags):
     """Check states sample by sample; returns their failing samples in order.
 
     x1 and x2 are a flat batch of states that the screen kept, and `ws`
@@ -486,9 +493,10 @@ def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
     (state, eta slot, fddot) into the six columns of `Violations`: nothing
     else is allocated per state.
     """
-    N, L = n.N, p.L
+    p, N = chk.p, chk.N
+    fddots = (-p.L, p.L)
     cols = _column_terms(x2, p, ws[4:])
-    _state_terms(n, gamma, margin, tolerance, x1, cols, ws[1:4], flags)
+    _state_terms(chk, x1, cols, ws[1:4], flags)
     observed, z1, limit, required = ws[:4]
     le1, le2, active, _, near1, near2 = flags
     # The branches that apply: W1, W2 and W3, and both within eps_cell of a
@@ -505,7 +513,7 @@ def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
         etas.append(z1)
     hits = []  # (state, fddot, eta, observed) of failing samples, by slot and fddot
     for e in etas:
-        for fddot, rates in zip((-L, L), _wdot_branches(z1, cols[6], e, (-L, L), p, out=cols[:6])):
+        for fddot, rates in zip(fddots, _wdot_branches(z1, cols[6], e, fddots, p, out=cols[:6])):
             observed.fill(-np.inf)
             for wd, check in zip(rates, (c1, c2, c3)):
                 np.maximum(observed, wd, out=observed, where=check)
@@ -524,7 +532,7 @@ def _verify_states(p, n, gamma, margin, tolerance, x1, x2, ws, flags):
     return x1r, x2r, e * sign, g * sign, observed[order], required[j]
 
 
-def _failing_samples(p, n, gamma, margin, tolerance, grid):
+def _failing_samples(chk, grid):
     """The grid's failing samples as columns, one batch of kept states at a time."""
     (x1s, x2s), n1, n2 = grid.axes(), grid.n1, grid.n2
     # The cell edges on each axis: every _CELL-th index, then the count; the
@@ -542,15 +550,15 @@ def _failing_samples(p, n, gamma, margin, tolerance, grid):
     batch, block = ws[:2, :_BLOCK_STATES], ws[2:4, :_BLOCK_STATES]
     proved = np.zeros((1, 1), dtype=bool)
     if cells:
-        proved = _prove_cells(p, n, gamma, margin, tolerance, x1s, x2s, er, ec, (ws[:9], flags))
+        proved = _prove_cells(chk, x1s, x2s, er, ec, (ws[:9], flags))
 
     def kept():  # the states that each block's screen keeps
         for s in _carry(_open_states(x1s, x2s, er, ec, proved), block):
-            cols = _column_terms(block[1, :s], p, ws[8:, :s])
-            yield block[:, _screen(p, n, gamma, margin, tolerance, block[0, :s], cols, ws[5:14, :s], flags[:, :s])]
+            cols = _column_terms(block[1, :s], chk.p, ws[8:, :s])
+            yield block[:, _screen(chk, block[0, :s], cols, ws[5:14, :s], flags[:, :s])]
 
     for s in _carry(kept(), batch):
-        yield _verify_states(p, n, gamma, margin, tolerance, *batch[:, :s], ws[4:, :s], flags[:, :s])
+        yield _verify_states(chk, *batch[:, :s], ws[4:, :s], flags[:, :s])
 
 
 def verify_decrease(
@@ -636,7 +644,7 @@ def verify_decrease(
     with np.errstate(over="ignore"):
         # The workspace is released before the join, the call's peak.
         # The first chunk is the columns of a grid without a failing sample.
-        chunks = [(np.empty(0),) * 6, *_failing_samples(p, n, gamma, margin, tolerance, grid)]
+        chunks = [(np.empty(0),) * 6, *_failing_samples(_Check(p, n.N, gamma, margin, tolerance), grid)]
     result = object.__new__(Violations)  # the join is its own: adopted, not copied
     result._adopt([np.concatenate(c) for c in zip(*chunks)])
     return result

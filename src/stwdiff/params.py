@@ -83,9 +83,6 @@ class GainInterval:
     hi: float
     empty: bool
 
-    def contains(self, lambda1: float) -> bool:
-        return (not self.empty) and self.lo < lambda1 < self.hi
-
 
 def _margins(p: Params) -> tuple[Decimal, Decimal]:
     """The decrease-rate margins (epsilon1, epsilon2) of the gain condition, to 50 digits.

@@ -286,8 +286,9 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
       signal:  quadratic:L=...,sign=+-1
       noise:   switching:N=...,c1=...,c2=...  |  constant:N=...  |  none
       either:  worstcase:tau=...,lambda2=...,N=...,L=...
-    Missing L / N fall back to the supplied defaults; a key the kind does
-    not take raises ValueError, as do sign, c1 and c2 next to a worstcase spec.
+    Missing L / N fall back to the supplied defaults; a quadratic L must be
+    nonnegative.  A key the kind does not take raises ValueError, as do
+    sign, c1 and c2 next to a worstcase spec.
     """
     sig_name, sig_kv = _split_spec(signal_spec, "signal", ("quadratic", "worstcase"))
     noi_name, noi_kv = _split_spec(noise_spec, "noise", ("switching", "constant", "none", "worstcase"))
@@ -306,6 +307,8 @@ def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: f
     L, sgn = sig["L"], sig["sign"]
     if sgn not in (-1.0, 1.0):
         raise ValueError(f"quadratic sign must be +1 or -1, got {sgn}")
+    if L < 0:  # the sign is `sign`'s alone
+        raise ValueError(f"quadratic L must be nonnegative, got {L}")
 
     noi = values(noi_name, noi_kv)
     N = noi.get("N", 0.0)  # "none" takes no N
@@ -345,7 +348,7 @@ def _quadratic_pair(L: float, sgn: float, noise: tuple[TimeFn, GridFn], n_cert: 
         fdot=fdot,
         fddot=fddot,
         eta=noise[0],
-        L_cert=abs(L),
+        L_cert=L,
         N_cert=n_cert,
         description=description,
         grid=grid,

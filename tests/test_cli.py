@@ -255,14 +255,21 @@ class TestContour:
         assert digest == "2c6275d0ec396639abefe80f6dd0126378c12864cdcf60256fdec5069791ac67"
 
     def test_bad_box_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["contour", "--box", "1,2,3"])
-        assert exc.value.code == 2
+        for box in ("1,2,3", "a,2,3,4"):
+            with pytest.raises(SystemExit) as exc:
+                main(["contour", "--box", box])
+            assert exc.value.code == 2
         for box in ("-inf,1,-1,1", "-1,1,-1,inf", "nan,1,-1,1", "-1e308,1e308,-1,1"):
             code, out, err = run_cli(capsys, ["contour", f"--box={box}", "--resolution", "5x5"])
             assert code == 2
             assert "finite" in err
             assert out == ""
+
+    def test_bad_resolution_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["contour", "--resolution", "4x"])
+        assert exc.value.code == 2
+        assert "bad resolution '4x': expected RxC" in capsys.readouterr().err
 
     def test_overflowing_v_exits_two(self, capsys, tmp_path):
         out_path = tmp_path / "contour.csv"
@@ -359,6 +366,18 @@ def test_flag_error_writes_no_csv(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: tau=0.5")
     assert not path.exists()
+
+
+def test_negative_quadratic_curvature_exits_two_and_writes_no_csv(capsys, tmp_path):
+    # A negative L would flip the signal that `sign` sets.  L = 0 runs.
+    path = tmp_path / "q.csv"
+    argv = ["simulate", "--horizon", "0.01", "--tau", "0", "--out", str(path), "--signal"]
+    code, out, err = run_cli(capsys, argv + ["quadratic:L=-1,sign=-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: quadratic L must be nonnegative, got -1.0\n"
+    assert not path.exists()
+    code, out, _ = run_cli(capsys, argv + ["quadratic:L=0"])
+    assert code == 0 and "L=0.0" in out and path.exists()
 
 
 @pytest.mark.parametrize("target", ["missing_dir/x.csv", "."], ids=["missing-directory", "a-directory"])

@@ -524,6 +524,10 @@ class TestCsv:
         buf = io.StringIO()
         write_trajectory_csv(buf, simulate(cfg, reference_pair()))
         assert buf.getvalue().splitlines()[0] == "t,u,f,fdot,y1,y2,error,V"
+        # The reader refuses another header: a column missing, or renamed.
+        for header in ("t,u,f,fdot,y1,y2,error", "t,u,f,fdot,y1,y2,err,V"):
+            with pytest.raises(ValueError, match="unexpected trajectory header"):
+                read_trajectory_csv(io.StringIO(header + "\n1,2,3,4,5,6,7,8\n"))
 
     def test_contour_csv(self):
         p = Params(4.1, 1.1, 1.0, 4.0 / 2.1)

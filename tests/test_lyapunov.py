@@ -48,6 +48,8 @@ N_SMALL = NoiseLevel(0.01)
 # The lambda2 = 0.5 mutant of the reference gains, probed with the reference gamma.
 P_MUTANT = Params(4.1, 0.5, 1.0, 4.0)
 BLOCK = lyapunov._BLOCK_STATES
+# A box whose certifier cells are proved band by band (see the cell proof's test).
+BANDS_PROVED_BOX = (1.0, 3.0, 0.05, 0.5)
 
 
 def thresholds(z2, p):
@@ -125,6 +127,11 @@ class TestRegionAndValue:
         assert (r.index, r.mirrored) == ("W3", False)
         r = region(ErrorState(0.0, -2.0), P_CONTOUR)
         assert (r.index, r.mirrored) == ("W1", True)
+
+    @pytest.mark.parametrize("x1, x2", [(math.nan, 0.0), (0.0, -math.inf)])
+    def test_error_state_must_be_finite(self, x1, x2):
+        with pytest.raises(ValueError, match="error state must be finite"):
+            ErrorState(x1, x2)
 
     def test_values(self):
         assert evaluate(ErrorState(0.0, 2.0), P_CONTOUR) == 0.5
@@ -673,18 +680,18 @@ class TestVerifyDecrease:
         screen, verify = lyapunov._screen, lyapunov._verify_states
         screens, kept, batches, in_batch = [], [], [], []
 
-        def spy_screen(p, n, gamma, margin, tolerance, x1, *rest):
-            keep = screen(p, n, gamma, margin, tolerance, x1, *rest)
+        def spy_screen(chk, x1, *rest):
+            keep = screen(chk, x1, *rest)
             if np.ndim(x1) == 1 and not in_batch:  # a block: not the lattice, not a batch
                 screens.append(x1.size)
                 kept.append(keep.size)
             return keep
 
-        def spy_verify(p, n, gamma, margin, tolerance, x1, *rest):
+        def spy_verify(chk, x1, *rest):
             batches.append(x1.size)
             in_batch.append(True)
             try:
-                return verify(p, n, gamma, margin, tolerance, x1, *rest)
+                return verify(chk, x1, *rest)
             finally:
                 in_batch.pop()
 
@@ -759,13 +766,13 @@ class TestVerifyDecrease:
         gamma = float(rng.uniform(0.1, 10.0))
         seen, screen = [], lyapunov._screen
 
-        def spy(p, n, gamma, margin, tolerance, x1, cols, floats, flags):
+        def spy(chk, x1, cols, floats, flags):
             # The block's states, copied out of the workspace before the
             # screen reuses it: lattice rows x1[:, None] over lattice
             # columns, or a flat block (x2 is the mirror sign times z2, the
             # first and last column terms).
             states = [a.flatten() for a in np.broadcast_arrays(x1, cols[0] * cols[-1])]
-            kept = screen(p, n, gamma, margin, tolerance, x1, cols, floats, flags)
+            kept = screen(chk, x1, cols, floats, flags)
             # The active mask and, with tolerance 0, the required rate.
             seen.append((*states, flags[2].ravel().copy(), floats[1].ravel().copy()))
             return kept
@@ -795,11 +802,17 @@ class TestVerifyDecrease:
     # band, is inactive, or lies within eps_cell of a threshold, and all of a
     # proved cell's states lie in one region and one mirror half.  The cells
     # only skip work: the result is, bit for bit, that of the same call with
-    # a cell proof that proves nothing.  The last four examples have a state
+    # a cell proof that proves nothing.  The first example's box misses
+    # x2 = 0 and the band, and every cell of each band is proved: the open
+    # states skip those bands.  The last four examples have a state
     # that fails inside a cell whose corners all pass: the proof must keep
     # its rounding slack, and fold the largest peak rate and the smallest
     # required rate over all four corners, or it proves that cell.
     @settings(max_examples=60)
+    @example(  # the reference gains (lambda1 = 4.1000002): seven bands, all proved
+        gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=BANDS_PROVED_BOX, counts=(100, 100), cell=16,
+        gamma=decay_rate_gamma(P_REF).gamma, tolerance=1e-9, margin=1e-9,
+    )
     @example(  # W1 cells with corners on both sides of the band at |x2| >= 2.4
         gains=(4.0, 1.1, 1.0, 0.5), N=0.02, box=(-1.03, 0.97, -3.0, 3.0), counts=(41, 41), cell=4,
         gamma=0.0, tolerance=1e-9, margin=1e-9,
@@ -866,6 +879,8 @@ class TestVerifyDecrease:
                 unproved = verify_decrease(p, n, grid, gamma=gamma, margin=margin, tolerance=tolerance)
         assert np.array_equal(column_bits(got), column_bits(unproved))
         ((rows, cols, proved),) = seen
+        if box == BANDS_PROVED_BOX:
+            assert proved.all(axis=1).any()
         x1s, x2s = grid.axes()
         x1v, x2v = np.meshgrid(x1s, x2s, indexing="ij")
         z1, _, t1, t2, v = _thresholds_grid(x1v, x2v, p)

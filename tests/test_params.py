@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from stwdiff import (
-    GainInterval,
     NoiseLevel,
     Params,
     convergence_time_bound,
@@ -66,11 +65,6 @@ class TestTypes:
         assert NoiseLevel(0.0).N == 0.0
         with pytest.raises(ValueError):
             NoiseLevel(-1e-9)
-
-    def test_gain_interval_contains(self):
-        assert GainInterval(1.0, 2.0, empty=False).contains(1.5)
-        assert not GainInterval(1.0, 2.0, empty=False).contains(1.0)
-        assert not GainInterval(1.0, 1.0, empty=True).contains(1.0)
 
 
 class TestInjectionGains:
@@ -154,7 +148,6 @@ class TestLambda1Range:
         assert not r.empty
         assert r.lo == pytest.approx(4.09878030638384, rel=1e-14)
         assert r.hi == pytest.approx(4.147575310031266, rel=1e-14)
-        assert r.contains(4.1)
         lo_o, hi_o = oracles.o_lambda1_bounds(1.1, 4.0)
         assert oracles.ulp_gap(r.lo, lo_o) <= 4
         assert oracles.ulp_gap(r.hi, hi_o) <= 4

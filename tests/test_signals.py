@@ -276,6 +276,19 @@ class TestParsePair:
             parse_pair("quadratic:sign=2", "none", 1.0, 0.01)
         with pytest.raises(ValueError):
             parse_pair("quadratic:L", "none", 1.0, 0.01)
+        with pytest.raises(ValueError, match="bad quadratic value 'L=abc'"):
+            parse_pair("quadratic:L=abc", "none", 1.0, 0.01)
+
+    # The signal's sign is the `sign` key's alone: a negative L, given in the
+    # spec or as the default, would flip it.  L = 0 is a constant signal.
+    @pytest.mark.parametrize("signal, default_L", [("quadratic:L=-1,sign=-1", 1.0), ("quadratic", -0.5)])
+    def test_negative_curvature_rejected(self, signal, default_L):
+        with pytest.raises(ValueError, match="quadratic L must be nonnegative"):
+            parse_pair(signal, "none", default_L, 0.01)
+
+    def test_zero_curvature_accepted(self):
+        pair = parse_pair("quadratic:L=0", "none", 1.0, 0.01)
+        assert (pair.L_cert, pair.f(2.0), pair.fddot(2.0)) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "signal, noise",
