@@ -107,7 +107,7 @@ def cmd_tune(args):
 
 def cmd_simulate(args):
     p = _make_params(args)
-    pair = signals.parse_pair(args.signal, args.noise, default_L=args.L, default_N=args.N)
+    pair = signals.parse_pair(args.signal, args.noise, args.L, args.N, args.lambda2)
     cfg = _make_config(args, p, args.horizon)
     rec = harness.simulate(cfg, pair)
     summ = harness.error_summary(rec, p, cfg.noise_level, tau=args.tau)

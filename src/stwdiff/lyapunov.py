@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .params import NoiseLevel, Params, _margins, error_upper_bound, is_count
+from .params import NoiseLevel, Params, error_upper_bound, is_count, validate_condition
 
 W1, W2, W3 = "W1", "W2", "W3"
 
@@ -246,27 +246,29 @@ def omega_contains(x: ErrorState, p: Params, n: NoiseLevel) -> bool:
 def decay_rate_gamma(p: Params) -> GammaReport:
     """Assemble the five per-case decrease rates and their minimum.
 
-    The margins epsilon1 and epsilon2 come from `params._margins`, which
-    `validate_condition` decides from too, and the whole report is evaluated
-    in the same 50-digit precision and rounded once per field.  Raises
-    ValueError when either margin is nonpositive (equivalently, when the
-    gain condition fails), since no positive decrease rate exists then.
+    Raises ValueError exactly when :func:`stwdiff.params.validate_condition`
+    fails, since no positive decrease rate exists then.  The margins
+    epsilon1 = ((alpha+1)lambda2+alpha-1)/(alpha(lambda2+1)) - lambda1/sqrt(2 alpha(lambda2+1))
+    and epsilon2 = lambda1 - 2 sqrt(2(lambda2+1)) cancel near the ends of the
+    lambda1 interval, so the whole report is evaluated from the gains' exact
+    binary values in 50-digit decimal arithmetic and rounded once per field.
     """
-    eps1, eps2 = _margins(p)
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError(
-            "gain condition violated: decrease-rate margins are "
-            f"epsilon1={float(eps1):.6g}, epsilon2={float(eps2):.6g} (both must be positive)"
-        )
     with localcontext() as ctx:
         ctx.prec = 50
         lam1, lam2, L, alpha = map(Decimal, (p.lambda1, p.lambda2, p.L, p.alpha))
         lam2p1 = lam2 + 1
+        eps1 = ((alpha + 1) * lam2 + alpha - 1) / (alpha * lam2p1) - lam1 / (2 * alpha * lam2p1).sqrt()
+        eps2 = lam1 - 2 * (2 * lam2p1).sqrt()
         r1 = lam1 * (L / 2).sqrt()
         r2 = (alpha - 1) / alpha * (alpha * lam2p1 * L).sqrt()
         r3 = eps1 * (2 * alpha * lam2p1 * L).sqrt()
         r4 = (lam2 - 1) * L.sqrt() / (alpha * lam2p1).sqrt()
         r5 = eps2 * L.sqrt()
+    if not validate_condition(p):
+        raise ValueError(
+            "gain condition violated: decrease-rate margins are "
+            f"epsilon1={float(eps1):.6g}, epsilon2={float(eps2):.6g} (both must be positive)"
+        )
     # The fields in order, each rounded once; gamma is the least rate.
     return GammaReport(*map(float, (r1, r2, eps1, r3, r4, eps2, r5, min(r1, r2, r3, r4, r5))))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import cached_property
 
 
@@ -77,71 +77,74 @@ class NoiseLevel:
 
 @dataclass(frozen=True)
 class GainInterval:
-    """Open interval (lo, hi) of admissible lambda1 values; empty iff lo >= hi."""
+    """Open interval (lo, hi) of the lambda1 values that satisfy the gain condition.
+
+    `lo` and `hi` are the interval's exact ends rounded outward to float, so a
+    float lambda1 satisfies the condition exactly when lo < lambda1 < hi.
+    `empty` says that no real lambda1 does; it is not lo >= hi, since rounding
+    outward can leave lo < hi around an empty interval.
+    """
 
     lo: float
     hi: float
     empty: bool
 
 
-def _margins(p: Params) -> tuple[Decimal, Decimal]:
-    """The decrease-rate margins (epsilon1, epsilon2) of the gain condition, to 50 digits.
-
-    epsilon1 = ((alpha+1)lambda2+alpha-1)/(alpha(lambda2+1)) - lambda1/sqrt(2 alpha(lambda2+1))
-    and epsilon2 = lambda1 - 2 sqrt(2(lambda2+1)) are positive exactly when
-    lambda1 is below the condition's upper limit and above its lower one.
-    Both are differences of nearly equal quantities that cancel near those
-    limits, so they are evaluated from the gains' exact binary values in
-    50-digit decimal arithmetic.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        lam1, lam2, alpha = map(Decimal, (p.lambda1, p.lambda2, p.alpha))
-        lam2p1 = lam2 + 1
-        eps1 = ((alpha + 1) * lam2 + alpha - 1) / (alpha * lam2p1) - lam1 / (2 * alpha * lam2p1).sqrt()
-        return eps1, lam1 - 2 * (2 * lam2p1).sqrt()
+def _root(q: Fraction, up: bool = False) -> float:
+    """sqrt(q) rounded down, or up, to float, for a rational q whose root is a normal float >= 2^-75."""
+    r = math.isqrt((q.numerator << 256) // q.denominator)  # floor(sqrt(q) 2^128): 53 bits or more
+    cut = r.bit_length() - 53
+    f = math.ldexp(r >> cut, cut - 128)
+    return math.nextafter(f, math.inf) if up and Fraction(f) ** 2 < q else f
 
 
 def validate_condition(p: Params) -> bool:
     """True iff 1 < lambda1/sqrt(8(lambda2+1)) < ((alpha+1)lambda2+alpha-1)/(2 sqrt(alpha)(lambda2+1)).
 
-    Decided by the signs of both margins (`_margins`), the same test as
-    :func:`stwdiff.lyapunov.decay_rate_gamma`'s, so the two agree on every
-    gain set.  The ends of `lambda1_range`, which `stwdiff validate` prints,
-    are rounded to float: within a few ulps of them, membership in that
-    interval can disagree with this test.
+    Decided, exactly, as lo < lambda1 < hi on the float ends of
+    :func:`lambda1_range`, the ends that `stwdiff validate` prints;
+    :func:`stwdiff.lyapunov.decay_rate_gamma` raises exactly when this test
+    fails.
     """
-    return min(_margins(p)) > 0
+    r = lambda1_range(p.lambda2, p.alpha)
+    return r.lo < p.lambda1 < r.hi
 
 
 def lambda2_min(alpha: float) -> float:
-    """Strict lower bound on lambda2 for the gain condition to be satisfiable.
+    """Largest float lambda2 for which no lambda1 satisfies the gain condition.
 
-    Equals (1 + 2 sqrt(alpha) - alpha) / (1 - 2 sqrt(alpha) + alpha); always
-    >= 1 on (1, 4], with equality only at alpha = 4, and diverging as
-    alpha -> 1.
+    Some lambda1 does exactly when lambda2 exceeds
+    (1 + 2 sqrt(alpha) - alpha) / (1 - 2 sqrt(alpha) + alpha), which is
+    2((sqrt(alpha) + 1)/(alpha - 1))^2 - 1.  That form, free of cancellation
+    as alpha -> 1, gives a float within a few ulps, which is then moved to
+    the largest float whose :func:`lambda1_range` is empty.  So `empty` is
+    lambda2 <= lambda2_min(alpha).  It is >= 1 on (1, 4], with equality only
+    at alpha = 4, and diverges as alpha -> 1.
     """
     check_alpha(alpha)
-    s = math.sqrt(alpha)
-    return (1.0 + 2.0 * s - alpha) / (1.0 - 2.0 * s + alpha)
+    m = 2.0 * ((math.sqrt(alpha) + 1.0) / (alpha - 1.0)) ** 2 - 1.0
+    while lambda1_range(m, alpha).empty:
+        m = math.nextafter(m, math.inf)
+    while not lambda1_range(m, alpha).empty:
+        m = math.nextafter(m, 0.0)
+    return m
 
 
 def lambda1_range(lambda2: float, alpha: float) -> GainInterval:
-    """Open interval of lambda1 values satisfying the gain condition, ends rounded to float.
+    """Open interval of lambda1 values satisfying the gain condition, ends rounded outward.
 
-    lo = sqrt(8(lambda2+1)); hi uses the algebraically simplified form
-    ((alpha+1)lambda2 + alpha - 1) * sqrt(2(lambda2+1)/alpha) / (lambda2+1)
-    to avoid cancellation near the empty-interval boundary.  The interval
-    is empty exactly when lambda2 <= lambda2_min(alpha).  Each end is
-    rounded to float, so within a few ulps of an end, membership can differ
-    from :func:`validate_condition`, which decides from 50-digit margins.
+    The squared ends lo^2 = 8(lambda2+1) and
+    hi^2 = 2((alpha+1)lambda2 + alpha - 1)^2 / (alpha(lambda2+1)) are
+    formed exactly, as fractions of the gains' binary values.  lo is rounded
+    toward -inf and hi toward +inf, so :func:`validate_condition`,
+    lo < lambda1 < hi on these floats, is the exact condition.  The interval
+    is empty when hi^2 <= lo^2, that is when lambda2 <= lambda2_min(alpha).
     """
     check_positive_finite("lambda2", lambda2)
     check_alpha(alpha)
-    lam2p1 = lambda2 + 1.0
-    lo = math.sqrt(8.0 * lam2p1)
-    hi = ((alpha + 1.0) * lambda2 + alpha - 1.0) * math.sqrt(2.0 * lam2p1 / alpha) / lam2p1
-    return GainInterval(lo=lo, hi=hi, empty=lo >= hi)
+    u, a = Fraction(lambda2) + 1, Fraction(alpha)  # (alpha+1)lambda2 + alpha - 1 = (alpha+1)u - 2
+    lo2, hi2 = 8 * u, 2 * ((a + 1) * u - 2) ** 2 / (a * u)
+    return GainInterval(_root(lo2), _root(hi2, up=True), hi2 <= lo2)
 
 
 def error_upper_bound(p: Params, n: NoiseLevel) -> float:

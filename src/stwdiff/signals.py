@@ -243,14 +243,15 @@ def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
     return bool(np.all(np.abs(etas) <= pair.N_cert + tol) and np.all(np.abs(fdds) <= pair.L_cert + tol))
 
 
-# Keys of each spec kind and their defaults; None stands for the default_L or
-# default_N passed to `parse_pair`.  Each key also matches in lower case.
+# Keys of each spec kind and their defaults; None stands for the default_L,
+# default_N or default_lambda2 passed to `parse_pair`.  Each key also matches
+# in lower case.
 _SPEC_KEYS: dict[str, dict[str, Optional[float]]] = {
     "quadratic": {"L": None, "sign": -1.0},
     "switching": {"N": None, "c1": 0.011, "c2": 0.00149},
     "constant": {"N": None},
     "none": {},
-    "worstcase": {"tau": 1.0, "lambda2": 1.1, "N": None, "L": None},
+    "worstcase": {"tau": 1.0, "lambda2": None, "N": None, "L": None},
 }
 
 
@@ -279,20 +280,23 @@ def _split_spec(spec: str, what: str, kinds: tuple[str, ...]) -> tuple[str, dict
     return kind, out
 
 
-def parse_pair(signal_spec: str, noise_spec: str, default_L: float, default_N: float) -> SignalPair:
+def parse_pair(
+    signal_spec: str, noise_spec: str, default_L: float, default_N: float, default_lambda2: float = 1.1
+) -> SignalPair:
     """Build a SignalPair from CLI-style spec strings.
 
     Grammar: NAME[:key=value,...] with
       signal:  quadratic:L=...,sign=+-1
       noise:   switching:N=...,c1=...,c2=...  |  constant:N=...  |  none
       either:  worstcase:tau=...,lambda2=...,N=...,L=...
-    Missing L / N fall back to the supplied defaults; a quadratic L must be
-    nonnegative.  A key the kind does not take raises ValueError, as do
-    sign, c1 and c2 next to a worstcase spec.
+    Missing L / N, and a worstcase lambda2, fall back to the run's values
+    passed as defaults (default_lambda2 is the reference run's unless
+    given); a quadratic L must be nonnegative.  A key the kind does not take
+    raises ValueError, as do sign, c1 and c2 next to a worstcase spec.
     """
     sig_name, sig_kv = _split_spec(signal_spec, "signal", ("quadratic", "worstcase"))
     noi_name, noi_kv = _split_spec(noise_spec, "noise", ("switching", "constant", "none", "worstcase"))
-    fallback = {"L": default_L, "N": default_N}
+    fallback = {"L": default_L, "N": default_N, "lambda2": default_lambda2}
 
     def values(kind: str, given: dict[str, float]) -> dict[str, float]:
         unused = [key for key in given if key not in _SPEC_KEYS[kind]]

@@ -11,11 +11,13 @@ error-system recurrences step the paper's error dynamics directly in
 x = (y1 - f, y2 - fdot), as a reference for the harness, which runs them
 through the differentiator loop instead.  `_thresholds_grid` is the array
 form of V as whole-array `np.where` selections, the reference for the
-library's blocked form.
+library's blocked form.  The gain condition is decided in exact rational
+arithmetic (`fractions.Fraction`), with no rounding at all.
 """
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +67,24 @@ def o_lambda1_bounds(lambda2: float, alpha: float) -> tuple[Decimal, Decimal]:
         lo = (8 * lam2p1).sqrt()
         hi = ((a + 1) * lam2 + a - 1) * (2 * lam2p1 / a).sqrt() / lam2p1
         return lo, hi
+
+
+def o_squared_ends(lambda2: float, alpha: float) -> tuple[Fraction, Fraction]:
+    """The squared ends lo^2, hi^2 of the lambda1 interval, exactly."""
+    lam2, a = Fraction(lambda2), Fraction(alpha)
+    return 8 * (lam2 + 1), 2 * ((a + 1) * lam2 + a - 1) ** 2 / (a * (lam2 + 1))
+
+
+def o_condition(lambda1: float, lambda2: float, alpha: float) -> bool:
+    """The gain condition, exactly: lo^2 < lambda1^2 < hi^2 for lambda1 > 0."""
+    lo2, hi2 = o_squared_ends(lambda2, alpha)
+    return lo2 < Fraction(lambda1) ** 2 < hi2
+
+
+def o_empty(lambda2: float, alpha: float) -> bool:
+    """True iff no real lambda1 satisfies the gain condition, exactly."""
+    lo2, hi2 = o_squared_ends(lambda2, alpha)
+    return hi2 <= lo2
 
 
 def o_tightness(alpha: float) -> Decimal:

@@ -30,25 +30,37 @@ class TestValidate:
         code, out, _ = run_cli(capsys, ["validate", "--lambda1", "4.1", "--lambda2", "1.1", "--alpha", "4", "--L", "1"])
         assert code == 0
         assert "condition: satisfied" in out
-        assert "lambda1_interval=(4.09878030638384, 4.147575310031266)" in out
+        assert "lambda1_interval=(4.098780306383839, 4.147575310031266)" in out
 
     def test_violated_gains_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--lambda1", "4.0"])
         assert code == 1
         assert "condition: violated" in out
 
-    # lambda1 is one ulp below the printed upper end of the interval, but
-    # above the exact end: validate and verify-lyapunov decide from the same
-    # margins, so both refuse these gains.
+    # lambda1 is just above the exact upper end of the interval, so it is the
+    # printed upper end, rounded up: validate and verify-lyapunov decide from
+    # those ends, so both refuse these gains.
     def test_validate_agrees_with_verify_lyapunov_at_an_interval_end(self, capsys):
         gains = ["--lambda1", "13.801938411965779", "--lambda2", "18.36249455485987", "--alpha", "2.8428798701485913"]
         code, out, _ = run_cli(capsys, ["validate", *gains])
         assert code == 1
         assert "condition: violated" in out
-        assert "lambda1_interval=(12.445881103356202, 13.80193841196578)" in out
+        assert "lambda1_interval=(12.4458811033562, 13.801938411965779)" in out
         code, _, err = run_cli(capsys, ["verify-lyapunov", *gains, "--resolution", "10x10"])
         assert code == 1
         assert "gain condition violated" in err
+
+    # lambda2 is just above lambda2_min, and lambda1 lies between the printed
+    # ends: the three lines agree.
+    def test_satisfied_gains_have_an_interval_above_lambda2_min(self, capsys):
+        gains = ["--lambda1", "12.909658608987836", "--lambda2", "19.83241067507672", "--alpha", "1.7156953096563772"]
+        code, out, _ = run_cli(capsys, ["validate", *gains])
+        assert code == 0
+        assert out.splitlines() == [
+            "condition: satisfied",
+            "lambda2_min=19.832410675076684",
+            "lambda1_interval=(12.909658608987835, 12.909658608987838)",
+        ]
 
     def test_empty_interval_report(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--lambda2", "1.0"])
@@ -301,6 +313,19 @@ class TestWorstCase:
             "max_tracking_deviation=0.00027500000003360947\n"
         )
 
+    # A worstcase spec builds its pair for --lambda2, as `worst-case` does, so
+    # the achieved error sits next to the bounds for the same lambda2.
+    def test_simulate_worstcase_spec_takes_the_runs_lambda2(self, capsys):
+        gains = ["--lambda1", "7.5", "--lambda2", "3"]
+        _, out, _ = run_cli(capsys, ["worst-case", *gains])
+        achieved = parse_kv(out)["achieved_error"]
+        code, _, err = run_cli(capsys, ["simulate", *gains, "--signal", "worstcase", "--noise", "worstcase"])
+        kv = parse_kv(err)
+        assert code == 0
+        assert "lambda2=3.0," in kv["signal"]
+        assert kv["sup_error_after_tau"] == achieved == "0.39924999999996535"
+        assert kv["bound_lower"] == "0.4"
+
     def test_divergence_pair_below_lambda2_one(self, capsys):
         # lambda2 < 1 runs the divergence pair, which has no sliding
         # reference, so the tracking line is left out.
@@ -421,7 +446,7 @@ WC_SUMMARY = "5be4883ecafbe3167573f47c243687059abcbc1f5ac850055c62eace09319e57"
 @pytest.mark.parametrize(
     "argv, code, out, err, csv",
     [
-        (["validate"], 0, "450d61fca120a9a4ab511ef9b1a5fb379e15bb872491a75f79f09c8a41fcc9ab", EMPTY, None),
+        (["validate"], 0, "a5783714b2def5e7f3261a5e633b3611ef955fcbde245cb4450209ccd0010280", EMPTY, None),
         (["bounds"], 0, "41409b4e217969f0bf029612c732ae44b07b0558cffec51dd94f48a43bdb9874", EMPTY, None),
         (["tune"], 0, "8b8369751b9acca24f52743f4df70734569975da64ceaeb57784eef85cbd9e96", EMPTY, None),
         (["simulate"], 0, SIM, SIM_SUMMARY, None),

@@ -357,9 +357,9 @@ class TestGamma:
         with pytest.raises(ValueError):
             decay_rate_gamma(Params(4.1, 0.5, 1.0, 4.0))
 
-    # validate_condition and decay_rate_gamma decide from the same margins,
-    # so they agree at every lambda1, including the few ulps around the
-    # rounded float ends of lambda1_range where the exact ends lie.
+    # decay_rate_gamma raises exactly when validate_condition fails, so the
+    # two agree at every lambda1, including the few ulps around the float
+    # ends of lambda1_range.
     @settings(max_examples=100)
     @given(
         alpha=finite(1.01, 4.0),

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from stwdiff import (
+    GainInterval,
     NoiseLevel,
     Params,
     convergence_time_bound,
@@ -99,6 +101,23 @@ class TestCondition:
         for lam1 in (0.5, 1.0, 3.9, 4.0, 4.1, 10.0):
             assert validate_condition(Params(lam1, 1.0, 1.0, 4.0)) is False
 
+    # The condition is lo < lambda1 < hi on lambda1_range's float ends, and
+    # those ends are the exact ones rounded outward, so near either end the
+    # float test is the exact condition.
+    @settings(max_examples=25)
+    @given(alpha=st.floats(1.0, 4.0, exclude_min=True), stretch=st.floats(1.0, 1e4, exclude_min=True))
+    def test_is_the_exact_condition_near_the_printed_ends(self, alpha, stretch):
+        lam2 = lambda2_min(alpha) * stretch
+        r = lambda1_range(lam2, alpha)
+        assume(not r.empty)
+        for end in (r.lo, r.hi):
+            for k in range(-12, 13):
+                lam1 = end
+                for _ in range(abs(k)):
+                    lam1 = math.nextafter(lam1, math.copysign(math.inf, k))
+                got = validate_condition(Params(lam1, lam2, 1.0, alpha))
+                assert got == oracles.o_condition(lam1, lam2, alpha) == (r.lo < lam1 < r.hi)
+
     def test_matches_interval_membership(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
@@ -122,8 +141,23 @@ class TestLambda2Min:
 
     def test_alpha_2_25_gives_seven(self):
         got = lambda2_min(2.25)
-        assert got == pytest.approx(7.0, abs=1e-12)
-        assert oracles.ulp_gap(got, oracles.o_lambda2_min(2.25)) <= 4
+        assert got == 7.0
+        assert oracles.ulp_gap(got, oracles.o_lambda2_min(2.25)) == 0
+
+    # lambda2_min is the largest float lambda2 whose interval is empty, so
+    # `empty` is lambda2 <= lambda2_min(alpha) at every float, including the
+    # few ulps around it and alpha within ulps of 1.
+    @settings(max_examples=40)
+    @given(alpha=st.floats(1.0, 4.0, exclude_min=True))
+    def test_is_the_largest_lambda2_with_an_empty_interval(self, alpha):
+        m = lambda2_min(alpha)
+        lam2 = m
+        for _ in range(4):
+            lam2 = math.nextafter(lam2, 0.0)
+        for _ in range(9):
+            empty = lam2 <= m
+            assert lambda1_range(lam2, alpha).empty == empty == oracles.o_empty(lam2, alpha)
+            lam2 = math.nextafter(lam2, math.inf)
 
     def test_diverges_toward_one(self):
         values = [lambda2_min(a) for a in (1.5, 1.2, 1.05, 1.01, 1.001)]
@@ -146,16 +180,36 @@ class TestLambda1Range:
     def test_reference_interval(self):
         r = lambda1_range(1.1, 4.0)
         assert not r.empty
-        assert r.lo == pytest.approx(4.09878030638384, rel=1e-14)
-        assert r.hi == pytest.approx(4.147575310031266, rel=1e-14)
+        # Each end is the exact end rounded outward: lo down, hi up.
+        assert (r.lo, r.hi) == (4.098780306383839, 4.147575310031266)
         lo_o, hi_o = oracles.o_lambda1_bounds(1.1, 4.0)
-        assert oracles.ulp_gap(r.lo, lo_o) <= 4
-        assert oracles.ulp_gap(r.hi, hi_o) <= 4
+        assert oracles.ulp_gap(r.lo, lo_o) <= 1
+        assert oracles.ulp_gap(r.hi, hi_o) <= 1
 
+    # At these gains the two ends meet exactly, at a float: the interval is
+    # empty, and lambda2 is lambda2_min.
     def test_boundary_lambda2_is_empty(self):
-        r = lambda1_range(1.0, 4.0)
-        assert r.empty
-        assert r.lo == r.hi == 4.0
+        for lam2, alpha, end in [(1.0, 4.0, 4.0), (7.0, 2.25, 8.0), (31.0, 1.5625, 16.0), (127.0, 1.265625, 32.0)]:
+            r = lambda1_range(lam2, alpha)
+            assert r.empty
+            assert r.lo == r.hi == end
+            assert lambda2_min(alpha) == lam2
+
+    # No end overflows: the squared ends are not formed in float.
+    def test_huge_lambda2(self):
+        assert lambda1_range(1e308, 4.0) == GainInterval(2.82842712474619e154, 3.535533905932738e154, False)
+        assert lambda1_range(1e300, 2.0) == GainInterval(2.82842712474619e150, 3e150, False)
+
+    @settings(max_examples=60)
+    @given(
+        lam2=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        alpha=st.floats(1.0, 4.0, exclude_min=True),
+    )
+    def test_ends_are_the_exact_ends_rounded_outward(self, lam2, alpha):
+        r = lambda1_range(lam2, alpha)
+        lo2, hi2 = oracles.o_squared_ends(lam2, alpha)
+        assert Fraction(r.lo) ** 2 <= lo2 < Fraction(math.nextafter(r.lo, math.inf)) ** 2
+        assert Fraction(math.nextafter(r.hi, 0.0)) ** 2 < hi2 <= Fraction(r.hi) ** 2
 
     def test_lambda2_three(self):
         r = lambda1_range(3.0, 4.0)
@@ -169,9 +223,7 @@ class TestLambda1Range:
             alpha = float(rng.uniform(1.01, 4.0))
             lam2 = float(rng.uniform(0.2, 9.0))
             r = lambda1_range(lam2, alpha)
-            assert r.empty == (lam2 <= lambda2_min(alpha)) or math.isclose(
-                lam2, lambda2_min(alpha), rel_tol=1e-12
-            )
+            assert r.empty == (lam2 <= lambda2_min(alpha))
 
     def test_domain(self):
         with pytest.raises(ValueError):

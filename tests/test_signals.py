@@ -267,6 +267,16 @@ class TestParsePair:
         assert "worst-case" in pair.description
         assert pair.N_cert == 0.04
 
+    # A worstcase lambda2 falls back to the run's, as L and N do; a spec that
+    # sets it wins, and a four-argument call keeps the reference run's 1.1.
+    @pytest.mark.parametrize(
+        "signal, extra, lambda2",
+        [("worstcase", (3.0,), 3.0), ("worstcase:lambda2=1.5", (3.0,), 1.5), ("worstcase", (), 1.1)],
+    )
+    def test_worstcase_lambda2_defaults_to_the_runs(self, signal, extra, lambda2):
+        pair = parse_pair(signal, "worstcase:tau=2", 1.0, 0.01, *extra)
+        assert f"lambda2={lambda2}," in pair.description
+
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
             parse_pair("cubic", "none", 1.0, 0.01)
