@@ -157,12 +157,12 @@ def cmd_worst_case(args):
         f"predicted_error={predicted!r}",
         f"ratio={achieved / predicted if predicted else math.inf!r}",
     ]
-    # Deviation from the sliding reference (N - lambda2 f, -lambda2 fdot) up to
-    # tau; the divergence pair used for lambda2 < 1 has no such reference.
+    # Deviation from the sliding reference up to tau; the divergence pair used
+    # for lambda2 < 1 has no such reference.
     if spec.lambda2 >= 1.0:
         m = rec.t <= spec.tau
-        dev1 = abs(rec.y1[m] - (spec.N - spec.lambda2 * rec.f[m])).max()
-        track = float(max(dev1, abs(rec.y2[m] + spec.lambda2 * rec.fdot[m]).max()))
+        y1, y2 = signals.sliding_reference(spec, rec.t[m])
+        track = float(max(abs(rec.y1[m] - y1).max(), abs(rec.y2[m] - y2).max()))
         lines.append(f"max_tracking_deviation={track!r}")
     # Without --out there is no CSV, so the summary stays on stdout.
     return 0, lines, (lambda fh: harness.write_trajectory_csv(fh, rec)) if args.out else None

@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .params import NoiseLevel, Params, error_upper_bound, is_count, validate_condition
+from .params import NoiseLevel, Params, error_upper_bound, is_count, require_finite, validate_condition
 
 W1, W2, W3 = "W1", "W2", "W3"
 
@@ -176,6 +176,17 @@ class GridSpec:
 _Check = namedtuple("_Check", "p N gamma margin tolerance")
 
 
+def _lam2p1L(p: Params) -> float:
+    """(lambda2 + 1) L; raises ValueError when 4 alpha times it, V's largest constant, is not finite.
+
+    An overflowing constant would make t1 = 0 at every z2, and V wrong
+    without a sign of it.
+    """
+    lam2p1L = (p.lambda2 + 1.0) * p.L
+    require_finite("4 alpha (lambda2 + 1) L", 4.0 * p.alpha * lam2p1L)
+    return lam2p1L
+
+
 def _thresholds(x: ErrorState, p: Params):
     """Mirrored z1, thresholds t1, t2 and W3 value of one state.
 
@@ -185,7 +196,7 @@ def _thresholds(x: ErrorState, p: Params):
     W3 = z1 - z2^2 / (2 (lambda2+1) L).
     """
     z1, z2 = (x.x1, x.x2) if x.x2 >= 0 else (-x.x1, -x.x2)
-    lam2p1L = (p.lambda2 + 1.0) * p.L
+    lam2p1L = _lam2p1L(p)
     t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
     return z1, t1, (2.0 * p.alpha + 1.0) * t1, z1 - z2 * z2 / (2.0 * lam2p1L)
 
@@ -286,7 +297,7 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     fddot may be out[0], out[1].
     """
     k1, k2 = p.injection_gains
-    lam2p1L = (p.lambda2 + 1.0) * p.L
+    lam2p1L = _lam2p1L(p)
     w1, w2, w3, dz1, push, push3 = (None,) * 6 if out is None else out
     arg = np.subtract(z1, eta, out=w1)
     kink = np.equal(arg, 0.0, out=w3)  # 1 at the kink, 0 elsewhere
@@ -317,7 +328,7 @@ def _column_terms(x2, p, out):
     (abs would not).
     """
     msign, t1, two_t1, t2, neg_h, eps_cell, z2 = out
-    lam2p1L = (p.lambda2 + 1.0) * p.L
+    lam2p1L = _lam2p1L(p)
     np.greater_equal(x2, 0.0, out=msign)
     msign *= 2.0
     msign -= 1.0

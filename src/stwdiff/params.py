@@ -21,6 +21,13 @@ def check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def require_finite(name: str, value: float) -> float:
+    """`value`; raises ValueError when it is not finite: a bad input, or a result that overflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def is_count(value) -> bool:
     """True for an int or a numpy integer; False for a bool, a float or a string."""
     try:
@@ -148,15 +155,21 @@ def lambda1_range(lambda2: float, alpha: float) -> GainInterval:
 
 
 def error_upper_bound(p: Params, n: NoiseLevel) -> float:
-    """Worst-case steady-state differentiation error bound 2 sqrt(alpha (lambda2+1) N L)."""
-    return 2.0 * math.sqrt(p.alpha * (p.lambda2 + 1.0) * n.N * p.L)
+    """Worst-case steady-state differentiation error bound 2 sqrt(alpha (lambda2+1) N L).
+
+    Raises ValueError when the float product overflows.
+    """
+    return require_finite("error upper bound", 2.0 * math.sqrt(p.alpha * (p.lambda2 + 1.0) * n.N * p.L))
 
 
 def error_lower_bound(lambda2: float, n: NoiseLevel, L: float) -> float:
-    """Error level 2 sqrt((lambda2+1) N L) attained by the worst-case signal pair."""
+    """Error level 2 sqrt((lambda2+1) N L) attained by the worst-case signal pair.
+
+    Raises ValueError when the float product overflows.
+    """
     check_positive_finite("lambda2", lambda2)
     check_positive_finite("L", L)
-    return 2.0 * math.sqrt((lambda2 + 1.0) * n.N * L)
+    return require_finite("error lower bound", 2.0 * math.sqrt((lambda2 + 1.0) * n.N * L))
 
 
 def tightness_factor(p: Params) -> float:
@@ -167,10 +180,14 @@ def tightness_factor(p: Params) -> float:
 def convergence_time_bound(p: Params, fdot0: float) -> float:
     """Worst-case noise-free convergence time |fdot(0)| / ((lambda2 - 1) L).
 
-    Defined only for lambda2 > 1 and a finite fdot0.
+    Defined only for lambda2 > 1 and a finite fdot0.  Raises ValueError
+    when the quotient is not finite: it overflows, or (lambda2 - 1) L
+    underflows to 0 under a nonzero fdot0.
     """
     if not p.lambda2 > 1.0:
         raise ValueError(f"convergence time bound requires lambda2 > 1, got {p.lambda2}")
-    if not math.isfinite(fdot0):
-        raise ValueError(f"fdot0 must be finite, got {fdot0}")
-    return abs(fdot0) / ((p.lambda2 - 1.0) * p.L)
+    require_finite("fdot0", fdot0)
+    if fdot0 == 0.0:
+        return 0.0
+    den = (p.lambda2 - 1.0) * p.L
+    return require_finite("convergence time bound", abs(fdot0) / den if den else math.inf)

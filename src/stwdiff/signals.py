@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .differentiator import DiffState
 from .params import NoiseLevel, check_positive_finite, is_count
 
 TimeFn = Callable[[float], float]
@@ -172,11 +171,11 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
     lam2p1 = spec.lambda2 + 1.0
     t0 = spec.tau - spec.theta
 
-    def f(t: float) -> float:
-        return _ramp(L, max(t - t0, 0.0))[0]
+    def f(t):
+        return _ramp(L, np.maximum(t - t0, 0.0))[0]
 
-    def fdot(t: float) -> float:
-        return _ramp(L, max(t - t0, 0.0))[1]
+    def fdot(t):
+        return _ramp(L, np.maximum(t - t0, 0.0))[1]
 
     def fddot(t: float) -> float:
         return 0.0 if t < t0 else L
@@ -184,40 +183,32 @@ def worst_case_pair(spec: WorstCaseSpec) -> SignalPair:
     def eta(t: float) -> float:
         return max(-N, N - lam2p1 * f(t))
 
-    def grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fv, fd = _ramp(L, np.maximum(ts - t0, 0.0))
-        x = N - lam2p1 * fv
+    def eta_grid(ts: np.ndarray) -> np.ndarray:
+        x = N - lam2p1 * f(ts)
         # np.where mirrors max(-N, x) exactly; np.maximum would propagate a NaN.
-        return fv, fd, np.where(x > -N, x, -N)
+        return np.where(x > -N, x, -N)
 
     desc = (
         f"worst-case ramp pair (tau={spec.tau}, theta={spec.theta:.6g}, "
         f"lambda2={spec.lambda2}, N={spec.N}, L={spec.L})"
         + (" [degenerate: N=0, zero-noise ramp]" if N == 0.0 else "")
     )
-    return SignalPair(
-        f=f,
-        fdot=fdot,
-        fddot=fddot,
-        eta=eta,
-        L_cert=L,
-        N_cert=N,
-        description=desc,
-        grid=grid,
-    )
+    return _pair(f, fdot, fddot, (eta, eta_grid), L, N, desc)
 
 
-def sliding_reference(spec: WorstCaseSpec, t: float) -> DiffState:
-    """Analytic sliding trajectory (y1, y2) = (N - lambda2 f, -lambda2 fdot).
+def sliding_reference(spec: WorstCaseSpec, t):
+    """Analytic sliding trajectory (y1, y2) = (N - lambda2 f, -lambda2 fdot) of the worst-case ramp.
 
+    `t` is a time or an array of times, and y1 and y2 are of its shape.
     Valid for t <= tau only; the simulated differentiator must track it.
+    Raises ValueError for lambda2 < 1, and for a time above tau or NaN.
     """
     if spec.lambda2 < 1.0:
         raise ValueError("sliding reference exists only for lambda2 >= 1")
-    if t > spec.tau:
-        raise ValueError(f"sliding reference valid only up to tau={spec.tau}, got t={t}")
-    fv, fd = _ramp(spec.L, max(t - (spec.tau - spec.theta), 0.0))
-    return DiffState(spec.N - spec.lambda2 * fv, -spec.lambda2 * fd)
+    if not np.all(t <= spec.tau):  # NaN fails too
+        raise ValueError(f"sliding reference valid only up to tau={spec.tau}, got t={np.max(t)}")
+    fv, fd = _ramp(spec.L, np.maximum(t - (spec.tau - spec.theta), 0.0))
+    return spec.N - spec.lambda2 * fv, -spec.lambda2 * fd
 
 
 def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
@@ -333,27 +324,25 @@ def _constant_noise(value: float) -> tuple[TimeFn, GridFn]:
 
 
 def _quadratic_pair(L: float, sgn: float, noise: tuple[TimeFn, GridFn], n_cert: float, description: str) -> SignalPair:
-    """Signal sgn * L t^2 / 2 under `noise` = (eta, eta_grid); `f` and `fdot` also take arrays."""
+    """Signal sgn * L t^2 / 2 under `noise` = (eta, eta_grid)."""
 
-    def f(t: float) -> float:
+    def f(t):
         return sgn * L * t * t / 2.0
 
-    def fdot(t: float) -> float:
+    def fdot(t):
         return sgn * L * t
 
     def fddot(t: float) -> float:
         return sgn * L
 
-    def grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return f(ts), fdot(ts), noise[1](ts)
+    return _pair(f, fdot, fddot, noise, L, n_cert, description)
 
-    return SignalPair(
-        f=f,
-        fdot=fdot,
-        fddot=fddot,
-        eta=noise[0],
-        L_cert=L,
-        N_cert=n_cert,
-        description=description,
-        grid=grid,
-    )
+
+def _pair(f, fdot, fddot, noise, L_cert, N_cert, description) -> SignalPair:
+    """The one constructor of the built-in pairs; `noise` is (eta, eta_grid).
+
+    `f` and `fdot` each take a time or an array of times, so `grid`
+    evaluates them on the array itself: it is their array form by
+    construction, and only the noise has a second form.
+    """
+    return SignalPair(f, fdot, fddot, noise[0], L_cert, N_cert, description, lambda ts: (f(ts), fdot(ts), noise[1](ts)))

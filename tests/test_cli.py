@@ -77,6 +77,11 @@ class TestBounds:
         assert float(kv["lower_bound"]) == pytest.approx(0.2898, abs=5e-5)
         assert float(kv["tightness_factor"]) == 2.0
 
+    def test_overflowing_bounds_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, ["bounds", "--lambda2", "1e308", "--N", "10", "--alpha", "4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: error upper bound must be finite")
+
 
 class TestTune:
     def test_table_shape_and_first_row(self, capsys):
@@ -102,6 +107,12 @@ class TestTune:
             assert code == 2
             assert "finite" in err
             assert out == ""
+
+    def test_non_finite_time_bound_exits_two(self, capsys):
+        # (lambda2 - 1) L underflows to 0 at the smallest subnormal L.
+        code, out, err = run_cli(capsys, ["tune", "--L", "5e-324"])
+        assert (code, out) == (2, "")
+        assert err == "error: convergence time bound must be finite, got inf\n"
 
 
 class TestSimulate:
@@ -244,6 +255,16 @@ class TestVerifyLyapunov:
         assert "gain condition" in err
         assert err.count("gain condition violated") == 1
 
+    def test_overflowing_v_constant_exits_two(self, capsys, tmp_path):
+        # Admissible gains whose 4 alpha (lambda2 + 1) L overflows: each state
+        # would read V = 0 and fail at observed = inf.
+        out_path = tmp_path / "viol.csv"
+        argv = ["verify-lyapunov", "--lambda1", "3e154", "--lambda2", "1e308", "--resolution", "4x4"]
+        code, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 4 alpha (lambda2 + 1) L must be finite")
+        assert not out_path.exists()
+
 
 class TestContour:
     def test_landmarks_in_csv(self, capsys):
@@ -290,6 +311,15 @@ class TestContour:
         assert code == 2
         assert "V must be finite" in err
         assert out == "" and not out_path.exists()
+
+    def test_overflowing_v_constant_exits_two(self, capsys, tmp_path):
+        # The gains of verify-lyapunov's overflow case: V would read 0 at nonzero states.
+        out_path = tmp_path / "contour.csv"
+        argv = ["contour", "--lambda1", "3e154", "--lambda2", "1e308", "--box=0,1,0,1e150", "--resolution", "3x3"]
+        code, out, err = run_cli(capsys, argv + ["--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 4 alpha (lambda2 + 1) L must be finite")
+        assert not out_path.exists()
 
 
 class TestWorstCase:

@@ -48,6 +48,9 @@ N_SMALL = NoiseLevel(0.01)
 # The lambda2 = 0.5 mutant of the reference gains, probed with the reference gamma.
 P_MUTANT = Params(4.1, 0.5, 1.0, 4.0)
 BLOCK = lyapunov._BLOCK_STATES
+# Admissible gains whose 4 alpha (lambda2 + 1) L overflows: t1 would read 0 at
+# every x2, so V would be 0 at (0, 1e150) instead of about 1.25e-9.
+P_OVERFLOW = Params(3e154, 1e308, 1.0, 4.0)
 # A box whose certifier cells are proved band by band (see the cell proof's test).
 BANDS_PROVED_BOX = (1.0, 3.0, 0.05, 0.5)
 
@@ -303,6 +306,22 @@ class TestRegionAndValue:
         V = evaluate_grid(G1, G2, P_CONTOUR)
         inside = V <= 1.0
         assert np.max(np.abs(G2[inside])) <= 4.0 + 1e-12
+
+    def test_overflowing_constant_gains_are_admissible(self):
+        assert validate_condition(P_OVERFLOW)
+
+    def test_scalar_form_rejects_an_overflowing_constant(self):
+        for fn in (evaluate, region):
+            with pytest.raises(ValueError, match=r"4 alpha \(lambda2 \+ 1\) L must be finite"):
+                fn(ErrorState(0.0, 1e150), P_OVERFLOW)
+
+    def test_array_form_rejects_an_overflowing_constant(self):
+        with pytest.raises(ValueError, match=r"4 alpha \(lambda2 \+ 1\) L must be finite"):
+            evaluate_grid(np.zeros(3), np.array([0.0, 1.0, 1e150]), P_OVERFLOW)
+
+    def test_certifier_rejects_an_overflowing_constant(self):
+        with pytest.raises(ValueError, match=r"4 alpha \(lambda2 \+ 1\) L must be finite"):
+            verify_decrease(P_OVERFLOW, N_SMALL, GridSpec(-3.0, 3.0, -3.0, 3.0, 4, 4))
 
 
 class TestOmega:

@@ -292,6 +292,16 @@ class TestBounds:
             low4 = error_lower_bound(p.lambda2, NoiseLevel(4.0 * N), p.L)
             assert abs(low4 - 2.0 * lowN) <= 2 * math.ulp(low4)
 
+    def test_overflowing_bounds_raise(self):
+        # Finite, admissible inputs whose float products overflow.
+        p = Params(3e154, 1e308, 1.0, 4.0)
+        with pytest.raises(ValueError, match="error upper bound must be finite"):
+            error_upper_bound(p, NoiseLevel(10.0))
+        with pytest.raises(ValueError, match="error lower bound must be finite"):
+            error_lower_bound(1e308, NoiseLevel(10.0), 1.0)
+        # A product just below the overflow still comes back.
+        assert error_upper_bound(Params(3e154, 1e307, 1.0, 4.0), NoiseLevel(4.0)) == 2.0 * math.sqrt(4.0 * 1e307 * 4.0)
+
 
 class TestConvergenceTime:
     def test_reference(self):
@@ -310,3 +320,17 @@ class TestConvergenceTime:
             convergence_time_bound(Params(4.1, 1.0, 1.0, 4.0), 1.0)
         with pytest.raises(ValueError):
             convergence_time_bound(Params(4.1, 0.9, 1.0, 4.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "p, fdot0",
+        [
+            (Params(4.1, 1.1, 5e-324, 4.0), 1.0),  # (lambda2 - 1) L underflows to 0
+            (Params(4.1, 1.0000000000000002, 1.0, 4.0), 1e308),  # the quotient overflows
+        ],
+    )
+    def test_non_finite_bound_raises(self, p, fdot0):
+        with pytest.raises(ValueError, match="convergence time bound must be finite"):
+            convergence_time_bound(p, fdot0)
+
+    def test_zero_fdot0_under_an_underflowing_denominator(self):
+        assert convergence_time_bound(Params(4.1, 1.1, 5e-324, 4.0), 0.0) == 0.0

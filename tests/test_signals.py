@@ -177,14 +177,29 @@ class TestWorstCasePair:
 
 class TestSlidingReference:
     def test_before_ramp(self):
-        ref = sliding_reference(SPEC, 0.3)
-        assert (ref.y1, ref.y2) == (SPEC.N, 0.0)
+        assert sliding_reference(SPEC, 0.3) == (SPEC.N, 0.0)
 
     def test_at_tau(self):
-        ref = sliding_reference(SPEC, SPEC.tau)
-        assert ref.y2 == pytest.approx(-0.15181442305531795, rel=1e-12)
+        _, y2 = sliding_reference(SPEC, SPEC.tau)
+        assert y2 == pytest.approx(-0.15181442305531795, rel=1e-12)
         pair = worst_case_pair(SPEC)
-        assert ref.y2 - pair.fdot(SPEC.tau) == pytest.approx(-0.28982753492378877, rel=1e-10)
+        assert y2 - pair.fdot(SPEC.tau) == pytest.approx(-0.28982753492378877, rel=1e-10)
+
+    def test_array_is_the_pair_sliding_trajectory_bit_for_bit(self):
+        # (N - lambda2 f, -lambda2 fdot) on the pair's own samples, and the
+        # scalar reference at each time.
+        ts = np.linspace(0.0, SPEC.tau, 1001)
+        y1, y2 = sliding_reference(SPEC, ts)
+        f, fdot, _ = worst_case_pair(SPEC).sample(ts)
+        assert np.array_equal(y1, SPEC.N - SPEC.lambda2 * f)
+        assert np.array_equal(y2, -SPEC.lambda2 * fdot)
+        scalar = np.array([sliding_reference(SPEC, t) for t in ts.tolist()])
+        assert np.array_equal(scalar, np.stack((y1, y2), axis=1))
+
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, SPEC.tau + 1e-9]), np.array([0.5, math.nan])])
+    def test_late_or_nan_time_rejected(self, t):
+        with pytest.raises(ValueError, match="valid only up to tau"):
+            sliding_reference(SPEC, t)
 
     def test_domain(self):
         with pytest.raises(ValueError):
