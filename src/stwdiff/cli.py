@@ -6,7 +6,9 @@ lambda2=1.1, L=1, alpha=4, dt=5e-4, N=0.01, switching noise c1=0.011,
 c2=0.00149, horizon 2), so `stwdiff simulate` with no flags regenerates it.
 
 Exit codes: 0 success, 1 verification failure (condition violated or
-decrease violations found), 2 flag errors.  Output is deterministic byte
+decrease violations found), 2 refused input: a bad flag or value, an
+input outside the paper's assumptions, a result that over- or underflows
+float, or an `--out` that cannot be written.  Output is deterministic byte
 for byte; `--stamp` opts into a timestamp line.
 
 Each command computes everything first and returns (exit code, summary

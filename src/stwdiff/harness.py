@@ -264,7 +264,7 @@ def contour_grid(
     V is a new float64 array of shape (len(x1s), len(x2s)).  It is
     evaluated from the axes broadcast against each other, in blocks (see
     `evaluate_grid`), so the call allocates V and the axes and, beyond
-    them, a fixed workspace: no grid-sized copy of the coordinates.
+    them, a fixed amount per block: no grid-sized copy of the coordinates.
     Raises ValueError when V overflows somewhere on the grid.
     """
     n1, n2 = resolution

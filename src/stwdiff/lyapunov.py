@@ -27,14 +27,11 @@ from .params import NoiseLevel, Params, error_upper_bound, is_count, require_fin
 W1, W2, W3 = "W1", "W2", "W3"
 
 # States per block of V's array form and of the certifier.  `evaluate_grid`
-# takes its inputs in blocks of at most this size, in a workspace of seven
-# float64 and two boolean rows (0.24 MB).  The certifier screens the open
-# cells' states in flat blocks of this size, and checks the states that the
-# screen keeps in batches of it, both in one per-call workspace of 15 float64
-# and 6 boolean rows of this size (0.5 MB); the lattice is screened a block of
-# lattice points at a time, two rows at least.  Fewer, larger blocks make
-# fewer numpy calls; the clean 1500x1500 pass peaks at 0.80 MB traced at this
-# size.
+# takes its inputs in blocks of at most this size.  The certifier screens the
+# open cells' states in flat blocks of this size, and checks the states that
+# the screen keeps in batches of it; the lattice is screened a block of
+# lattice points at a time, two rows at least.  Each pass allocates its own
+# arrays of a block's size.  Fewer, larger blocks make fewer numpy calls.
 _BLOCK_STATES = 1 << 12
 # Grid steps per side of a certifier cell (see verify_decrease).
 _CELL = 16
@@ -225,11 +222,10 @@ def evaluate_grid(x1, x2, p: Params) -> np.ndarray:
     do not cast safely to float64 (complex, long double) raise TypeError.
     The states are taken in blocks of at most `_BLOCK_STATES`, without
     materialising the broadcast: each block's column terms and V
-    (`_column_terms`, `_value`) are computed in one workspace of 0.24 MB
-    and written straight into the result.  So the call allocates the
-    result and, beyond it, a fixed amount, whatever the size of the inputs.
+    (`_column_terms`, `_value`) are computed as arrays of the block's size
+    and copied into the result.  So the call allocates the result and,
+    beyond it, a fixed amount, whatever the size of the inputs.
     """
-    ws, le = np.empty((7, _BLOCK_STATES)), np.empty((2, _BLOCK_STATES), dtype=bool)
     with np.nditer(
         (x1, x2, None),
         ("external_loop", "buffered", "zerosize_ok"),
@@ -238,9 +234,7 @@ def evaluate_grid(x1, x2, p: Params) -> np.ndarray:
         buffersize=_BLOCK_STATES,
     ) as it:
         for a, b, v in it:
-            # z1 goes into the row of eps_cell, which V does not read.
-            cols = _column_terms(b, p, ws[:, : v.size])
-            _value(a, cols, cols[5], *le[:, : v.size], v)
+            v[...] = _value(a, _column_terms(b, p))[3]
         return it.operands[2]
 
 
@@ -284,7 +278,7 @@ def decay_rate_gamma(p: Params) -> GammaReport:
     return GammaReport(*map(float, (r1, r2, eps1, r3, r4, eps2, r5, min(r1, r2, r3, r4, r5))))
 
 
-def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
+def _wdot_branches(z1, z2, eta, fddots, p: Params):
     """Directional derivatives of the three branches of W along the error dynamics.
 
     Operates in the mirrored frame (z2 >= 0); `eta` and each of `fddots`
@@ -292,132 +286,110 @@ def _wdot_branches(z1, z2, eta, fddots, p: Params, out=None):
     per fddot; the terms that do not depend on fddot are computed once.
     Where z1 == eta the sign is set-valued, and each branch takes its worst
     selection (-1 for W1 and W2, +1 for W3): its supremum as eta tends to
-    z1.  With `out`, six arrays of the broadcast shape, nothing is
-    allocated: each triple is written into its first three, and eta and one
-    fddot may be out[0], out[1].
+    z1.  The arguments may be scalars or arrays, with z2 broadcasting to
+    the shape of z1 - eta; each triple is new, and its caller's to update.
     """
     k1, k2 = p.injection_gains
     lam2p1L = _lam2p1L(p)
-    w1, w2, w3, dz1, push, push3 = (None,) * 6 if out is None else out
-    arg = np.subtract(z1, eta, out=w1)
-    kink = np.equal(arg, 0.0, out=w3)  # 1 at the kink, 0 elsewhere
-    sign = np.sign(arg, out=push)
-    root = np.sqrt(np.abs(arg, out=w1), out=w1)
+    arg = np.subtract(z1, eta)
+    kink = arg == 0.0  # 1 at the kink, 0 elsewhere
+    sign = np.sign(arg)
     # dz1 = -k1 sign sqrt|z1 - eta| + z2; at the kink root = 0, so only the
     # push -k2 s depends on the selection s: sign - kink for W1 and W2, and
     # sign + kink for W3.
-    dz1 = np.add(np.multiply(np.multiply(sign, -k1, out=dz1), root, out=dz1), z2, out=dz1)
-    push3 = np.multiply(np.add(sign, kink, out=push3), -k2, out=push3)
-    push = np.multiply(np.subtract(sign, kink, out=push), -k2, out=push)
+    dz1 = sign * -k1
+    dz1 *= np.sqrt(np.abs(arg))
+    dz1 += z2
+    push3, push = sign + kink, sign - kink
+    push3 *= -k2
+    push *= -k2
     for fddot in fddots:
-        q3 = np.multiply(z2, np.subtract(push3, fddot, out=w3), out=w3)
-        q = np.multiply(z2, np.subtract(push, fddot, out=w2), out=w2)
-        r1 = np.subtract(np.divide(q, p.alpha * lam2p1L, out=w1), dz1, out=w1)
-        r3 = np.subtract(dz1, np.divide(q3, lam2p1L, out=w3), out=w3)
-        yield r1, np.divide(q, 2.0 * p.alpha * lam2p1L, out=w2), r3
+        q3, q = push3 - fddot, push - fddot
+        q3 *= z2
+        q *= z2
+        r1 = q / (p.alpha * lam2p1L)
+        r1 -= dz1
+        q /= 2.0 * p.alpha * lam2p1L
+        yield r1, q, dz1 - q3 / lam2p1L
 
 
-def _column_terms(x2, p, out):
-    """The terms of V's thresholds that depend on x2 only, written into `out`.
+def _column_terms(x2, p):
+    """The terms of V's thresholds that depend on x2 only.
 
-    The seven rows of `out` get the mirror sign, t1, 2 t1, t2, the W3
-    offset -z2^2 / (2 (lambda2+1) L), eps_cell = 1e-9 max(1, |t2|) and z2;
-    t1, t2 and the offset plus z1 are `_thresholds`' bit for bit, and `out`
-    is returned.  The mirror multiplies by the sign, which is 1 at
+    Returns the mirror sign, t1, 2 t1, t2, the W3 offset
+    -z2^2 / (2 (lambda2+1) L), eps_cell = 1e-9 max(1, |t2|) and z2, as
+    arrays of x2's shape; t1, t2 and the offset plus z1 are `_thresholds`'
+    bit for bit.  The mirror multiplies by the sign, which is 1 at
     x2 = -0.0, so z2 keeps -0.0's bits as np.where(x2 < 0, -x2, x2) does
     (abs would not).
     """
-    msign, t1, two_t1, t2, neg_h, eps_cell, z2 = out
     lam2p1L = _lam2p1L(p)
-    np.greater_equal(x2, 0.0, out=msign)
-    msign *= 2.0
-    msign -= 1.0
-    np.multiply(x2, msign, out=z2)
-    np.divide(np.multiply(z2, z2, out=neg_h), 4.0 * p.alpha * lam2p1L, out=t1)
-    np.multiply(t1, 2.0, out=two_t1)
-    np.multiply(t1, 2.0 * p.alpha + 1.0, out=t2)
+    msign = np.where(x2 >= 0.0, 1.0, -1.0)
+    z2 = x2 * msign
+    t1 = z2 * z2 / (4.0 * p.alpha * lam2p1L)
+    t2 = t1 * (2.0 * p.alpha + 1.0)
     # z2^2 / -c is -(z2^2 / c) exactly, and -0.0 at z2 = 0 as -0.0 - 0.0 is.
-    neg_h /= -2.0 * lam2p1L
+    neg_h = z2 * z2 / (-2.0 * lam2p1L)
     # t2 >= 0, so max(1, |t2|) is max(t2, 1).
-    np.maximum(t2, 1.0, out=eps_cell)
-    eps_cell *= 1e-9
-    return out
+    return msign, t1, t1 * 2.0, t2, neg_h, np.maximum(t2, 1.0) * 1e-9, z2
 
 
-def _value(x1, cols, z1, le1, le2, v):
+def _value(x1, cols):
     """V at the states x1 over the column terms `cols` (see `_column_terms`).
 
-    Writes z1 = x1 times the mirror sign into z1, the tests z1 <= t1 and
-    z1 <= t2 into le1 and le2, and V into v, which is returned.  V is
-    `evaluate`'s bit for bit.
+    Returns z1 = x1 times the mirror sign, the tests z1 <= t1 and z1 <= t2,
+    and V, which is `evaluate`'s bit for bit.
     """
     msign, t1, two_t1, t2, neg_h = cols[:5]
-    np.multiply(x1, msign, out=z1)
-    np.less_equal(z1, t1, out=le1)
-    np.less_equal(z1, t2, out=le2)
+    z1 = x1 * msign
+    le1, le2 = z1 <= t1, z1 <= t2
     # V over its W3 value z1 - z2^2 / (2 (lambda2+1) L), which is z1 + neg_h.
-    np.add(z1, neg_h, out=v)
+    v = z1 + neg_h
     np.copyto(v, t1, where=le2)
-    return np.subtract(two_t1, z1, out=v, where=le1)
+    np.subtract(two_t1, z1, out=v, where=le1)
+    return z1, le1, le2, v
 
 
-def _state_terms(chk, x1, cols, floats, flags):
-    """The terms of the states x1 over `cols` that every certifier pass reads.
+def _state_terms(chk, x1, x2):
+    """The terms of the states (x1, x2) that every certifier pass reads.
 
-    x1 and `cols` are as for `_screen`, `floats` (three) and `flags` (six)
-    workspace views of their shape.  On return floats hold z1, required +
-    tolerance and the required rate -gamma sqrt(V - N) (V - N where
-    inactive), and flags the tests z1 <= t1, z1 <= t2, active (V > N +
-    margin), then scratch, |z1 - t1| <= eps_cell and |z1 - t2| <= eps_cell.
-    Raises ValueError when V or the required rate is not finite.
+    x1 and x2 are lattice rows x1[:, None] over lattice columns, or a flat
+    block of states.  Returns z1, z2, the tests z1 <= t1, z1 <= t2, active
+    (V > N + margin), |z1 - t1| <= eps_cell and |z1 - t2| <= eps_cell, the
+    required rate -gamma sqrt(V - N) (V - N where inactive) and required +
+    tolerance; z2 has x2's shape, the others the states'.  The other column
+    terms (see `_column_terms`) are dropped on return.  Raises ValueError
+    when V or the required rate is not finite.
     """
-    z1, limit, required = floats
-    le1, le2, active, finite, near1, near2 = flags
-    # V goes into the row of the required rate, which is computed from it.
-    _value(x1, cols, z1, le1, le2, required)
-    for t, near in ((cols[1], near1), (cols[3], near2)):
-        np.less_equal(np.abs(np.subtract(z1, t, out=limit), out=limit), cols[5], out=near)
-    np.greater(required, chk.N + chk.margin, out=active)
+    cols = _column_terms(x2, chk.p)
+    z1, le1, le2, v = _value(x1, cols)
+    near1, near2 = (np.abs(z1 - t) <= cols[5] for t in (cols[1], cols[3]))
+    active = v > chk.N + chk.margin
     # The required rate -gamma sqrt(V - N) of the active states.
-    np.subtract(required, chk.N, out=required)
+    required = v - chk.N
     np.sqrt(required, out=required, where=active)
     np.multiply(required, -chk.gamma, out=required, where=active)
-    if not np.isfinite(required, out=finite).all():
+    if not np.isfinite(required).all():
         raise ValueError("V and the required rate -gamma sqrt(V - N) must be finite on the grid")
-    np.add(required, chk.tolerance, out=limit)
+    return z1, cols[6], le1, le2, active, near1, near2, required, required + chk.tolerance
 
 
-def _screen(chk, x1, cols, floats, flags):
-    """Flat indices of the states x1 over `cols` that need the per-sample pass.
+def _screen(chk, x1, x2):
+    """Which of the states (x1, x2) need the per-sample pass.
 
-    x1 and the column terms `cols` (see `_column_terms`) are lattice rows
-    x1[:, None] over lattice columns, or a flat block of states, and
-    `floats` (nine) and `flags` (six) are workspace views of that shape;
-    floats[3:] may be the rows of cols but z2, which are read before they
-    are written.  Kept are the active states (V > N + margin) that fail at
-    the peak of their branch (see verify_decrease), lie in the noise band,
-    or lie within eps_cell of a threshold (checked on both adjacent
-    branches).  On return floats[:3] and flags hold the state terms (see
-    `_state_terms`), floats[5] the peak rate, and flags[3] which states
-    are kept.
+    x1 and x2 are as for `_state_terms`.  Kept are the active states (V > N
+    + margin) that fail at the peak of their branch (see verify_decrease),
+    lie in the noise band, or lie within eps_cell of a threshold (checked on
+    both adjacent branches).  Returns the state terms (see `_state_terms`),
+    the peak rate and the mask of the kept states.
     """
     p, N = chk.p, chk.N
-    z1, limit, _, w1, w2 = floats[:5]
-    le1, le2, active, keep, near1, near2 = flags
-    _state_terms(chk, x1, cols, floats[:3], flags)
+    terms = z1, z2, le1, le2, active, near1, near2, _, limit = _state_terms(chk, x1, x2)
     # W1 peaks at (eta, fddot) = (-N, -L), W2 at fddot = -L and W3 at (N, L).
-    w1.fill(N)
-    np.copyto(w1, -N, where=le1)
-    w2.fill(p.L)
-    np.copyto(w2, -p.L, where=le2)
-    ((r1, r2, worst),) = _wdot_branches(z1, cols[6], w1, (w2,), p, out=floats[3:])
+    ((r1, r2, worst),) = _wdot_branches(z1, z2, np.where(le1, -N, N), (np.where(le2, -p.L, p.L),), p)
     np.copyto(worst, r2, where=le2)
     np.copyto(worst, r1, where=le1)
-    np.greater(worst, limit, out=keep)
-    keep |= near1
-    keep |= near2
-    np.logical_or(keep, np.less_equal(np.abs(x1, out=w1), N, out=w1), out=keep)
-    return np.flatnonzero(np.logical_and(keep, active, out=keep))
+    return terms, worst, ((worst > limit) | near1 | near2 | (np.abs(x1) <= N)) & active
 
 
 def _fold(a, f):
@@ -426,7 +398,7 @@ def _fold(a, f):
     return f(a[:-1], a[1:])
 
 
-def _prove_cells(chk, x1s, x2s, er, ec, ws):
+def _prove_cells(chk, x1s, x2s, er, ec):
     """Which cells of the vertex lattice hold no state with a failing sample.
 
     Cell (i, j) spans lattice rows i, i + 1 and columns j, j + 1 (indices
@@ -436,25 +408,24 @@ def _prove_cells(chk, x1s, x2s, er, ec, ws):
     verdicts (see verify_decrease).
     """
     rows, columns = np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1)
-    cols = _column_terms(x2s[columns], chk.p, np.empty((7, columns.size)))
-    one_half, z2max = cols[0, :-1] == cols[0, 1:], np.maximum(cols[6, :-1], cols[6, 1:])
-    x1l = x1s[rows]
+    x1l, x2l = x1s[rows], x2s[columns]
+    half = x2l >= 0.0  # the mirror half of each lattice column
+    one_half = half[:-1] == half[1:]
     off_band = (x1l[:-1] > chk.N) | (x1l[1:] < -chk.N)
     proved = np.empty((rows.size - 1, columns.size - 1), dtype=bool)
     k = max(2, _BLOCK_STATES // columns.size)
     for s in range(0, rows.size - 1, k - 1):
         x1r = x1l[s : s + k]
-        floats, flags = (w[:, : x1r.size * columns.size].reshape(len(w), x1r.size, -1) for w in ws)
-        _screen(chk, x1r[:, None], cols, floats, flags)
+        (_, z2, le1, le2, active, _, _, _, limit), worst, keep = _screen(chk, x1r[:, None], x2l)
         # The region as a code, 2 for W1, 1 for W2 and 0 for W3; -1 where the
         # corner is inactive or kept (near a threshold, in the band, failing).
-        code = np.add(flags[0], flags[1], dtype=np.int8)
-        code[~flags[2] | flags[3]] = -1
+        code = np.add(le1, le2, dtype=np.int8)
+        code[~active | keep] = -1
         low = _fold(code, np.minimum)
         same = (low >= 0) & (low == _fold(code, np.maximum)) & one_half & off_band[s : s + x1r.size - 1, None]
         # The largest peak rate and the smallest required rate plus tolerance.
-        wmax, lmin = _fold(floats[5], np.maximum), _fold(floats[1], np.minimum)
-        slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + z2max)
+        wmax, lmin = _fold(worst, np.maximum), _fold(limit, np.minimum)
+        slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + np.maximum(z2[:-1], z2[1:]))
         proved[s : s + x1r.size - 1] = same & (wmax + slack <= lmin)
     return proved
 
@@ -492,45 +463,35 @@ def _carry(pieces, buf):
         yield fill
 
 
-def _verify_states(chk, x1, x2, ws, flags):
+def _verify_states(chk, x1, x2):
     """Check states sample by sample; returns their failing samples in order.
 
-    x1 and x2 are a flat batch of states that the screen kept, and `ws`
-    (eleven) and `flags` (six) workspace rows of their size.  The batch's
-    state terms (see `_state_terms`) go into ws[1:4] and flags, and the
-    column terms but z2 (ws[4:10]) then serve as the branches' rows; the
-    branch peaks are not evaluated.  Each eta slot and fddot is evaluated
+    x1 and x2 are a flat batch of states that the screen kept; their
+    branch peaks are not evaluated again.  Each eta slot and fddot is evaluated
     over the whole batch (eta = z1 too, where only the states strictly
     inside the band count), and every branch derivative is folded into the
-    observed rate (ws[0]), in branch order, where that branch applies.  The failing samples are then gathered and ordered by
-    (state, eta slot, fddot) into the six columns of `Violations`: nothing
-    else is allocated per state.
+    observed rate, in branch order, where that branch applies.  The failing
+    samples are then gathered and ordered by (state, eta slot, fddot) into
+    the six columns of `Violations`.
     """
     p, N = chk.p, chk.N
     fddots = (-p.L, p.L)
-    cols = _column_terms(x2, p, ws[4:])
-    _state_terms(chk, x1, cols, ws[1:4], flags)
-    observed, z1, limit, required = ws[:4]
-    le1, le2, active, _, near1, near2 = flags
+    z1, z2, le1, le2, _, near1, near2, required, limit = _state_terms(chk, x1, x2)
     # The branches that apply: W1, W2 and W3, and both within eps_cell of a
     # threshold.  z1 <= t1 implies z1 <= t2, so W3 applies where not le2.
-    c3 = np.less_equal(le2, near2, out=active)
-    c2 = np.greater(le2, le1, out=le2)
-    c2 |= near1
-    c2 |= near2
-    c1 = np.logical_or(le1, near1, out=le1)
-    band, hit = np.less(np.abs(z1, out=observed), N, out=near1), near2
+    checks = (le1 | near1, (le2 > le1) | near1 | near2, le2 <= near2)
+    band = np.abs(z1) < N
     # The corners (one if N = 0), and the kink eta = z1 inside the band.
     etas = [-N, N] if N else [N]
     if band.any():
         etas.append(z1)
     hits = []  # (state, fddot, eta, observed) of failing samples, by slot and fddot
     for e in etas:
-        for fddot, rates in zip(fddots, _wdot_branches(z1, cols[6], e, fddots, p, out=cols[:6])):
-            observed.fill(-np.inf)
-            for wd, check in zip(rates, (c1, c2, c3)):
+        for fddot, rates in zip(fddots, _wdot_branches(z1, z2, e, fddots, p)):
+            observed = np.full(z1.shape, -np.inf)
+            for wd, check in zip(rates, checks):
                 np.maximum(observed, wd, out=observed, where=check)
-            np.greater(observed, limit, out=hit)
+            hit = observed > limit
             if e is z1:
                 hit &= band
             j = np.flatnonzero(hit)
@@ -553,25 +514,17 @@ def _failing_samples(chk, grid):
     # A grid with one point on an axis has no cells, and one band.
     cells = n1 > 1 and n2 > 1
     er, ec = (np.append(np.arange(0, m - 1, _CELL) if cells else 0, m) for m in (n1, n2))
-    # Rows: the batch's and the block's states, the observed rate, z1,
-    # required + tolerance, the required rate and the column terms, of a
-    # block or of two lattice rows, whichever is larger.  The screen reuses
-    # the column terms but z2 once they are read, and the lattice its first
-    # nine rows.
-    size = max(_BLOCK_STATES, 2 * ec.size)
-    ws, flags = np.empty((15, size)), np.empty((6, size), dtype=bool)
-    batch, block = ws[:2, :_BLOCK_STATES], ws[2:4, :_BLOCK_STATES]
-    proved = np.zeros((1, 1), dtype=bool)
-    if cells:
-        proved = _prove_cells(chk, x1s, x2s, er, ec, (ws[:9], flags))
+    proved = _prove_cells(chk, x1s, x2s, er, ec) if cells else np.zeros((1, 1), dtype=bool)
+    # The (x1, x2) rows that carry the open states into full blocks, and the
+    # kept states into full batches.
+    block, batch = np.empty((2, 2, _BLOCK_STATES))
 
     def kept():  # the states that each block's screen keeps
         for s in _carry(_open_states(x1s, x2s, er, ec, proved), block):
-            cols = _column_terms(block[1, :s], chk.p, ws[8:, :s])
-            yield block[:, _screen(chk, block[0, :s], cols, ws[5:14, :s], flags[:, :s])]
+            yield block[:, np.flatnonzero(_screen(chk, *block[:, :s])[2])]
 
     for s in _carry(kept(), batch):
-        yield _verify_states(chk, *batch[:, :s], ws[4:, :s], flags[:, :s])
+        yield _verify_states(chk, *batch[:, :s])
 
 
 def verify_decrease(
@@ -638,10 +591,10 @@ def verify_decrease(
     V or the required rate is not finite at a tested state.  The open
     states are screened in flat blocks of 2**12, and the states the screen
     keeps are checked in batches of 2**12 carried across blocks (the last
-    of each may be partial), all inside one workspace allocated per call.
-    Apart from the grid's axes, memory grows with the grid only through the
-    lattice, which is screened two lattice rows at least at a time.  The
-    result is ordered by grid index, then eta slot
+    of each may be partial); each pass allocates its own arrays of a
+    block's size.  Apart from the grid's axes, memory grows with the grid
+    only through the lattice, which is screened two lattice rows at least
+    at a time.  The result is ordered by grid index, then eta slot
     (corners first), then fddot (-L before L).  It is a `Violations`: the
     samples' six float64 columns, whose `DecreaseViolation` records are
     built only when read.
@@ -649,13 +602,10 @@ def verify_decrease(
     if gamma is None:
         gamma = decay_rate_gamma(p).gamma
     for name, value in (("gamma", gamma), ("margin", margin), ("tolerance", tolerance)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value < 0:
+        if require_finite(name, value) < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     # An overflow shows as a non-finite V or required rate, which raises.
     with np.errstate(over="ignore"):
-        # The workspace is released before the join, the call's peak.
         # The first chunk is the columns of a grid without a failing sample.
         chunks = [(np.empty(0),) * 6, *_failing_samples(_Check(p, n.N, gamma, margin, tolerance), grid)]
     result = object.__new__(Violations)  # the join is its own: adopted, not copied

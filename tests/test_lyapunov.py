@@ -657,12 +657,12 @@ class TestVerifyDecrease:
     # The largest working set (memory live at once) of a block on the clean
     # reference 1500x1500 pass, read as the traced peak over the run minus
     # what was held before it; the clean pass returns nothing, so the peak is
-    # one block's.  With flat blocks and batches of 2**12 states in a 0.5 MB
-    # workspace it reads 0.80 MB, while the lattice is screened (0.72 MB
-    # while the open cells' states are); the 400x400 mutant probe peaks at
-    # 5.06 MB, at the join of its result, and a 1 x 2**20 grid at 9.04 MB,
-    # 8.4 MB of it its axes.  Blocks of whole rows of one band of cells, over
-    # its open columns, read 0.85, 5.13 and 124 MB.
+    # one block's.  With flat blocks and batches of 2**12 states, each pass
+    # allocating its own arrays, it reads 0.84 MB (0.80 MB when every pass
+    # wrote into one workspace per call); the 400x400 mutant probe peaks at
+    # 5.06 MB, at the join of its result (see the test below), and a
+    # 1 x 2**20 grid at 9.08 MB, 8.4 MB of it its axes.  Blocks of whole rows
+    # of one band of cells, over its open columns, read 0.85, 5.13 and 124 MB.
     def test_block_working_set_stays_small(self):
         grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 1500, 1500)
         tracemalloc.start()
@@ -675,8 +675,8 @@ class TestVerifyDecrease:
         assert peak - before < 1_000_000
 
     # A grid of one long row has no cells, and its states are screened in
-    # flat blocks, so the call holds its axes and a workspace of fixed size:
-    # 9.04 MB traced at 1 x 2**20, against 124 MB when a block was at least
+    # flat blocks, so the call holds its axes and a fixed amount per block:
+    # 9.08 MB traced at 1 x 2**20, against 124 MB when a block was at least
     # one row and the column terms were computed for the whole grid.
     def test_long_row_working_set_stays_small(self):
         grid = GridSpec(0.5, 1.5, -3.0, 3.0, 1, 1 << 20)
@@ -690,6 +690,41 @@ class TestVerifyDecrease:
             tracemalloc.stop()
         assert peak - before <= axes + 1_000_000
 
+    # The failing path's peak is the join of its result: the benchmark's
+    # 400x400 mutant probe returns 52,676 samples in six columns (2.53 MB),
+    # and the per-batch chunks are joined into them once.  Its traced peak
+    # over the call, 5.06 MB, is within twice the columns plus 1 MB.
+    def test_failing_path_peaks_at_its_join(self):
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)
+        gamma = decay_rate_gamma(P_REF).gamma
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = verify_decrease(P_MUTANT, N_SMALL, grid, gamma=gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 52676
+        columns = sum(c.nbytes for c in (got.x1, got.x2, got.eta, got.fddot, got.observed, got.required))
+        assert peak - before <= 2 * columns + 1_000_000
+
+    # The gain condition is sharp for V at both ends of `lambda1_range`: at
+    # gamma = 0 the certifier finds no violation just inside either end, and
+    # finds some just outside.  Outside the lower end (where epsilon2 reaches
+    # 0) the witnesses lie outside the noise band, near its edge; outside
+    # the upper end (where epsilon1 reaches 0) they lie only inside it.
+    @pytest.mark.parametrize(
+        "lambda2, alpha, counts", [(1.1, 4.0, (46, 0, 0, 4)), (12.0, 2.0, (16, 0, 0, 2)), (3.0, 3.0, (18, 0, 0, 4))]
+    )
+    def test_gain_condition_is_sharp_at_both_ends(self, lambda2, alpha, counts):
+        gain = stwdiff.lambda1_range(lambda2, alpha)
+        n, grid = NoiseLevel(0.01), GridSpec(-0.1, 0.1, -0.6, 0.6, 401, 401)
+        lambda1s = (gain.lo * (1 - 1e-3), gain.lo * (1 + 1e-3), gain.hi * (1 - 1e-3), gain.hi * (1 + 1e-3))
+        found = [verify_decrease(Params(lambda1, lambda2, 1.0, alpha), n, grid, gamma=0.0) for lambda1 in lambda1s]
+        assert tuple(map(len, found)) == counts
+        assert all(abs(x1) >= n.N for x1 in found[0].x1)
+        assert all(abs(x1) < n.N for x1 in found[3].x1)
+
     # The open cells' states are screened in full blocks, carried from one
     # band of lattice rows to the next, and the states the screen keeps are
     # checked in full batches, carried from one block to the next: on the
@@ -700,11 +735,11 @@ class TestVerifyDecrease:
         screens, kept, batches, in_batch = [], [], [], []
 
         def spy_screen(chk, x1, *rest):
-            keep = screen(chk, x1, *rest)
+            result = screen(chk, x1, *rest)
             if np.ndim(x1) == 1 and not in_batch:  # a block: not the lattice, not a batch
                 screens.append(x1.size)
-                kept.append(keep.size)
-            return keep
+                kept.append(np.count_nonzero(result[2]))
+            return result
 
         def spy_verify(chk, x1, *rest):
             batches.append(x1.size)
@@ -768,8 +803,8 @@ class TestVerifyDecrease:
             assert np.array_equal(column_bits(got), column_bits(results[-1]))
         assert_oracle_filtered(results[-1], oracles.verify_decrease_four_slot(p, n, grid, gamma), n)
 
-    # The screen evaluates V and the required rate on its workspace from the
-    # column terms of its states; both are `_thresholds_grid`'s bit for bit
+    # The screen evaluates V and the required rate from the column terms of
+    # its states; both are `_thresholds_grid`'s bit for bit
     # at every state it sees: the lattice corners, and the states of the
     # open cells.  N is the smallest positive V on the grid and the
     # margin is 0, so nearly all states are active and some sit exactly on
@@ -785,16 +820,15 @@ class TestVerifyDecrease:
         gamma = float(rng.uniform(0.1, 10.0))
         seen, screen = [], lyapunov._screen
 
-        def spy(chk, x1, cols, floats, flags):
-            # The block's states, copied out of the workspace before the
-            # screen reuses it: lattice rows x1[:, None] over lattice
-            # columns, or a flat block (x2 is the mirror sign times z2, the
-            # first and last column terms).
-            states = [a.flatten() for a in np.broadcast_arrays(x1, cols[0] * cols[-1])]
-            kept = screen(chk, x1, cols, floats, flags)
-            # The active mask and, with tolerance 0, the required rate.
-            seen.append((*states, flags[2].ravel().copy(), floats[1].ravel().copy()))
-            return kept
+        def spy(chk, x1, x2):
+            # The block's states, copied before the carry buffer is refilled:
+            # lattice rows x1[:, None] over lattice columns, or a flat block.
+            states = [a.flatten() for a in np.broadcast_arrays(x1, x2)]
+            result = screen(chk, x1, x2)
+            # The active mask and the required rate.
+            terms = result[0]
+            seen.append((*states, terms[4].ravel(), terms[7].ravel()))
+            return result
 
         monkeypatch.setattr(lyapunov, "_screen", spy)
         monkeypatch.setattr(lyapunov, "_BLOCK_STATES", 5 * grid.n2)
@@ -887,7 +921,7 @@ class TestVerifyDecrease:
         def spy(*args):
             proved = prove(*args)
             # The lattice: the cell edges, with the last replaced by the last point.
-            er, ec = args[-3], args[-2]
+            er, ec = args[-2:]
             seen.append((np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1), proved))
             return proved
 
