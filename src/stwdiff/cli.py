@@ -153,11 +153,13 @@ def cmd_worst_case(args):
     rec = harness.simulate(cfg, signals.worst_case_pair(spec))
     achieved = abs(float(rec.error[-1]))
     predicted = params.error_lower_bound(args.lambda2, params.NoiseLevel(args.N), args.L)
+    # A zero prediction (N = 0) attained exactly is a ratio of 1, and exceeded, inf.
+    ratio = achieved / predicted if predicted else math.inf if achieved else 1.0
     lines = [
         f"theta={spec.theta!r}",
         f"achieved_error={achieved!r}",
         f"predicted_error={predicted!r}",
-        f"ratio={achieved / predicted if predicted else math.inf!r}",
+        f"ratio={ratio!r}",
     ]
     # Deviation from the sliding reference up to tau; the divergence pair used
     # for lambda2 < 1 has no such reference.

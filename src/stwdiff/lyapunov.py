@@ -28,10 +28,10 @@ W1, W2, W3 = "W1", "W2", "W3"
 
 # States per block of V's array form and of the certifier.  `evaluate_grid`
 # takes its inputs in blocks of at most this size.  The certifier screens the
-# open cells' states in flat blocks of this size, and checks the states that
-# the screen keeps in batches of it; the lattice is screened a block of
-# lattice points at a time, two rows at least.  Each pass allocates its own
-# arrays of a block's size.  Fewer, larger blocks make fewer numpy calls.
+# lattice points and the open cells' states alike, in flat blocks of this
+# size, and checks the states that the screen keeps in batches of it.  Each
+# pass allocates its own arrays of a block's size.  Fewer, larger blocks make
+# fewer numpy calls.
 _BLOCK_STATES = 1 << 12
 # Grid steps per side of a certifier cell (see verify_decrease).
 _CELL = 16
@@ -353,13 +353,12 @@ def _value(x1, cols):
 def _state_terms(chk, x1, x2):
     """The terms of the states (x1, x2) that every certifier pass reads.
 
-    x1 and x2 are lattice rows x1[:, None] over lattice columns, or a flat
-    block of states.  Returns z1, z2, the tests z1 <= t1, z1 <= t2, active
-    (V > N + margin), |z1 - t1| <= eps_cell and |z1 - t2| <= eps_cell, the
-    required rate -gamma sqrt(V - N) (V - N where inactive) and required +
-    tolerance; z2 has x2's shape, the others the states'.  The other column
-    terms (see `_column_terms`) are dropped on return.  Raises ValueError
-    when V or the required rate is not finite.
+    x1 and x2 are a flat block of states.  Returns z1, z2, the tests
+    z1 <= t1, z1 <= t2, active (V > N + margin), |z1 - t1| <= eps_cell and
+    |z1 - t2| <= eps_cell, the required rate -gamma sqrt(V - N) (V - N
+    where inactive) and required + tolerance.  The other column terms (see
+    `_column_terms`) are dropped on return.  Raises ValueError when V or
+    the required rate is not finite.
     """
     cols = _column_terms(x2, chk.p)
     z1, le1, le2, v = _value(x1, cols)
@@ -393,9 +392,36 @@ def _screen(chk, x1, x2):
 
 
 def _fold(a, f):
-    """The ufunc f over the four corners of each cell of a block of lattice points."""
+    """The ufunc f over the four corners of each cell of lattice-shaped `a`."""
     a = f(a[:, :-1], a[:, 1:])
     return f(a[:-1], a[1:])
+
+
+def _pieces(x1, x2):
+    """The states x1 x x2 in grid order, as new (2, k) arrays of (x1, x2)
+    rows with k at most _BLOCK_STATES: whole rows of x2, or a row in chunks."""
+    h = max(1, _BLOCK_STATES // x2.size)
+    for r in range(0, x1.size, h):
+        for c in range(0, x2.size, _BLOCK_STATES):
+            x1r, x2r = x1[r : r + h], x2[c : c + _BLOCK_STATES]
+            piece = np.empty((2, x1r.size, x2r.size))
+            piece[0], piece[1] = x1r[:, None], x2r
+            yield piece.reshape(2, -1)
+
+
+def _rebatch(pieces):
+    """The columns of the (x1, x2) `pieces` in order, regrouped into blocks of
+    _BLOCK_STATES columns, each a view of a join that it made; the last may
+    be partial.  The remainder is split off before a block is yielded, so
+    only that join, at most two blocks, stays alive while the block is used."""
+    held = np.empty((2, 0))
+    for piece in pieces:
+        held = np.concatenate((held, piece), axis=1)
+        while held.shape[1] >= _BLOCK_STATES:
+            block, held = held[:, :_BLOCK_STATES], held[:, _BLOCK_STATES:]
+            yield block
+    if held.shape[1]:
+        yield held
 
 
 def _prove_cells(chk, x1s, x2s, er, ec):
@@ -403,64 +429,41 @@ def _prove_cells(chk, x1s, x2s, er, ec):
 
     Cell (i, j) spans lattice rows i, i + 1 and columns j, j + 1 (indices
     er and ec: the cell edges, with the last replaced by the last point).
-    The lattice is screened in blocks of rows, each block repeating the last
-    row of the one before, and the block's corners are folded into cell
-    verdicts (see verify_decrease).
+    The lattice points are screened in flat blocks, like any other states;
+    each point's region code, peak rate and required rate plus tolerance
+    are joined into lattice-shaped arrays, whose corners are then folded
+    into cell verdicts (see verify_decrease).
     """
     rows, columns = np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1)
     x1l, x2l = x1s[rows], x2s[columns]
-    half = x2l >= 0.0  # the mirror half of each lattice column
-    one_half = half[:-1] == half[1:]
-    off_band = (x1l[:-1] > chk.N) | (x1l[1:] < -chk.N)
-    proved = np.empty((rows.size - 1, columns.size - 1), dtype=bool)
-    k = max(2, _BLOCK_STATES // columns.size)
-    for s in range(0, rows.size - 1, k - 1):
-        x1r = x1l[s : s + k]
-        (_, z2, le1, le2, active, _, _, _, limit), worst, keep = _screen(chk, x1r[:, None], x2l)
+    parts = []
+    for block in _rebatch(_pieces(x1l, x2l)):
+        (_, _, le1, le2, active, _, _, _, limit), worst, keep = _screen(chk, *block)
         # The region as a code, 2 for W1, 1 for W2 and 0 for W3; -1 where the
-        # corner is inactive or kept (near a threshold, in the band, failing).
+        # point is inactive or kept (near a threshold, in the band, failing).
         code = np.add(le1, le2, dtype=np.int8)
         code[~active | keep] = -1
-        low = _fold(code, np.minimum)
-        same = (low >= 0) & (low == _fold(code, np.maximum)) & one_half & off_band[s : s + x1r.size - 1, None]
-        # The largest peak rate and the smallest required rate plus tolerance.
-        wmax, lmin = _fold(worst, np.maximum), _fold(limit, np.minimum)
-        slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + np.maximum(z2[:-1], z2[1:]))
-        proved[s : s + x1r.size - 1] = same & (wmax + slack <= lmin)
-    return proved
+        parts.append((code, worst, limit))
+    # Each joined into the lattice's shape; the blocks' parts are dropped.
+    code, worst, limit = parts = [np.concatenate(a).reshape(rows.size, columns.size) for a in zip(*parts)]
+    half = x2l >= 0.0  # the mirror half of each lattice column
+    low = _fold(code, np.minimum)
+    same = (low >= 0) & (low == _fold(code, np.maximum)) & (half[:-1] == half[1:])
+    same &= ((x1l[:-1] > chk.N) | (x1l[1:] < -chk.N))[:, None]
+    # The largest peak rate and the smallest required rate plus tolerance.
+    wmax, lmin = _fold(worst, np.maximum), _fold(limit, np.minimum)
+    z2 = np.abs(x2l)  # z2 up to the sign of a zero, which the sum (at least 1) hides
+    slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + np.maximum(z2[:-1], z2[1:]))
+    return same & (wmax + slack <= lmin)
 
 
 def _open_states(x1s, x2s, er, ec, proved):
-    """The states of the open cells in grid order, as (x1, x2) rows of at most
-    _BLOCK_STATES states: each band of lattice rows over its open cells' columns."""
+    """The states of the open cells in grid order (see `_pieces`): each band
+    of lattice rows over its open cells' columns."""
     for b, band in enumerate(proved):
-        if band.all():
-            continue
-        # The open cells' columns; a band with no proved cell has the grid's.
-        x2b = x2s[np.repeat(~band, np.diff(ec))] if band.any() else x2s
-        x1b, h = x1s[er[b] : er[b + 1]], max(1, _BLOCK_STATES // x2b.size)
-        for r in range(0, x1b.size, h):
-            for c in range(0, x2b.size, _BLOCK_STATES):
-                x1r, x2r = x1b[r : r + h], x2b[c : c + _BLOCK_STATES]
-                piece = np.empty((2, x1r.size, x2r.size))
-                piece[0], piece[1] = x1r[:, None], x2r
-                yield piece.reshape(2, -1)
-
-
-def _carry(pieces, buf):
-    """Copy the columns of `pieces` into `buf` in order, carried across pieces;
-    yields the count of columns held each time buf is full, and once at the end."""
-    fill, size = 0, buf.shape[1]
-    for piece in pieces:
-        while piece.shape[1]:
-            k = min(size - fill, piece.shape[1])
-            buf[:, fill : fill + k] = piece[:, :k]
-            piece, fill = piece[:, k:], fill + k
-            if fill == size:
-                yield fill
-                fill = 0
-    if fill:
-        yield fill
+        if not band.all():
+            # The open cells' columns; a band with no proved cell has the grid's.
+            yield from _pieces(x1s[er[b] : er[b + 1]], x2s[np.repeat(~band, np.diff(ec))] if band.any() else x2s)
 
 
 def _verify_states(chk, x1, x2):
@@ -515,16 +518,11 @@ def _failing_samples(chk, grid):
     cells = n1 > 1 and n2 > 1
     er, ec = (np.append(np.arange(0, m - 1, _CELL) if cells else 0, m) for m in (n1, n2))
     proved = _prove_cells(chk, x1s, x2s, er, ec) if cells else np.zeros((1, 1), dtype=bool)
-    # The (x1, x2) rows that carry the open states into full blocks, and the
-    # kept states into full batches.
-    block, batch = np.empty((2, 2, _BLOCK_STATES))
-
-    def kept():  # the states that each block's screen keeps
-        for s in _carry(_open_states(x1s, x2s, er, ec, proved), block):
-            yield block[:, np.flatnonzero(_screen(chk, *block[:, :s])[2])]
-
-    for s in _carry(kept(), batch):
-        yield _verify_states(chk, *batch[:, :s])
+    # The open states in full blocks, the states each block's screen keeps,
+    # and those in full batches.
+    blocks = _rebatch(_open_states(x1s, x2s, er, ec, proved))
+    for batch in _rebatch(block[:, _screen(chk, *block)[2]] for block in blocks):
+        yield _verify_states(chk, *batch)
 
 
 def verify_decrease(
@@ -581,7 +579,8 @@ def verify_decrease(
     screen.  No state of a proved cell has a failing sample, so the cells
     only skip work: the states of the open cells are taken in grid order,
     in flat blocks carried from one band of lattice rows to the next, and
-    screened and reported as above.  A grid with one point on an axis has
+    screened and reported as above.  The lattice is screened the same way,
+    in flat blocks of lattice points.  A grid with one point on an axis has
     no cells.
 
     When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
@@ -589,12 +588,13 @@ def verify_decrease(
     skips that requirement (mutation probes).  Raises ValueError when
     `gamma`, `margin` or `tolerance` is not finite or is negative, and when
     V or the required rate is not finite at a tested state.  The open
-    states are screened in flat blocks of 2**12, and the states the screen
-    keeps are checked in batches of 2**12 carried across blocks (the last
-    of each may be partial); each pass allocates its own arrays of a
-    block's size.  Apart from the grid's axes, memory grows with the grid
-    only through the lattice, which is screened two lattice rows at least
-    at a time.  The result is ordered by grid index, then eta slot
+    states and the lattice points are screened in flat blocks of 2**12,
+    and the states the screen keeps are checked in batches of 2**12 carried
+    across blocks (the last of each may be partial); each pass allocates
+    its own arrays of a block's size.  Apart from the grid's axes, memory
+    grows with the grid only through the lattice's joined region codes,
+    peak rates and required rates, 17 bytes a lattice point, and their
+    folds.  The result is ordered by grid index, then eta slot
     (corners first), then fddot (-L before L).  It is a `Violations`: the
     samples' six float64 columns, whose `DecreaseViolation` records are
     built only when read.

@@ -367,6 +367,23 @@ class TestWorstCase:
         assert float(kv["achieved_error"]) > float(kv["predicted_error"])
 
 
+    # At N = 0 the predicted error is 0.  Both schemes attain it exactly,
+    # a ratio of 1; the divergence pair below lambda2 = 1 exceeds it, inf.
+    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+    def test_zero_prediction_attained_is_ratio_one(self, capsys, scheme):
+        code, out, _ = run_cli(capsys, ["worst-case", "--N", "0", "--scheme", scheme])
+        kv = parse_kv(out)
+        assert code == 0
+        assert (kv["achieved_error"], kv["predicted_error"], kv["ratio"]) == ("0.0", "0.0", "1.0")
+
+    def test_zero_prediction_exceeded_is_ratio_inf(self, capsys):
+        code, out, _ = run_cli(capsys, ["worst-case", "--lambda2", "0.5", "--N", "0"])
+        kv = parse_kv(out)
+        assert code == 0
+        assert kv["predicted_error"] == "0.0" and float(kv["achieved_error"]) > 0.0
+        assert kv["ratio"] == "inf"
+
+
 class TestHelpAndErrors:
     @pytest.mark.parametrize(
         "cmd",
@@ -532,7 +549,7 @@ WC_SUMMARY = "5be4883ecafbe3167573f47c243687059abcbc1f5ac850055c62eace09319e57"
         (
             ["worst-case", "--N", "0", "--out"],
             0,
-            "ee41fb3fa45d5ade3edd211c9cd882635ce834008f02a91eb88dfee300f1a305",
+            "b939be504225adff27034f0bf64e647e313bf74e2dc51dad45a190e2d78b3b3d",
             EMPTY,
             "f401cd16ebfd86fad56634b29cd3e73ac44a88efc4c28d5a48de6f9379c0ba03",
         ),

@@ -486,8 +486,8 @@ class TestContour:
             contour_grid(P_REF, (-1.0, 1.0, -1.0, 1.0), (1, 5))
 
     # V is evaluated from the axes, broadcast, in blocks: the call's peak is
-    # V, the axes and a fixed workspace, not coordinate grids and whole-grid
-    # temporaries (176 MB traced at 1500x1500 when it built them).
+    # V, the axes and a fixed amount per block, not coordinate grids and
+    # whole-grid temporaries (176 MB traced at 1500x1500 when it built them).
     def test_grid_allocates_v_and_little_more(self):
         contour_grid(P_REF, (-3.0, 3.0, -3.0, 3.0), (3, 3))
         tracemalloc.start()

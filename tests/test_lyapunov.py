@@ -228,10 +228,10 @@ class TestRegionAndValue:
         assert np.array_equal(got.ravel().view(np.uint64), np.array(scalar, dtype=float).view(np.uint64))
         assert np.array_equal(got.view(np.uint64), _thresholds_grid(u, w, p)[4].view(np.uint64))
 
-    # evaluate_grid allocates its result and a fixed workspace, not
+    # evaluate_grid allocates its result and a fixed amount per block, not
     # temporaries the size of its inputs (6.6 MB traced on 100,001 states
     # when it evaluated whole arrays).
-    def test_evaluate_grid_allocates_its_result_and_a_workspace(self):
+    def test_evaluate_grid_allocates_result_plus_fixed_per_block(self):
         x1, x2 = np.random.default_rng(9).uniform(-3.0, 3.0, (2, 100_001))
         evaluate_grid(x1[:5], x2[:5], P_REF)
         tracemalloc.start()
@@ -658,9 +658,8 @@ class TestVerifyDecrease:
     # reference 1500x1500 pass, read as the traced peak over the run minus
     # what was held before it; the clean pass returns nothing, so the peak is
     # one block's.  With flat blocks and batches of 2**12 states, each pass
-    # allocating its own arrays, it reads 0.84 MB (0.80 MB when every pass
-    # wrote into one workspace per call); the 400x400 mutant probe peaks at
-    # 5.06 MB, at the join of its result (see the test below), and a
+    # allocating its own arrays, it reads 0.93 MB; the 400x400 mutant probe
+    # peaks at 5.06 MB, at the join of its result (see the test below), and a
     # 1 x 2**20 grid at 9.08 MB, 8.4 MB of it its axes.  Blocks of whole rows
     # of one band of cells, over its open columns, read 0.85, 5.13 and 124 MB.
     def test_block_working_set_stays_small(self):
@@ -689,6 +688,22 @@ class TestVerifyDecrease:
         finally:
             tracemalloc.stop()
         assert peak - before <= axes + 1_000_000
+
+    # The vertex lattice is screened in flat blocks like any other states:
+    # a 4 x 2**18 grid, whose lattice is two rows of 16,385 points, reads its
+    # axes plus 1.79 MB traced (plus 4.71 MB when the lattice was screened
+    # in blocks of two lattice rows at least).
+    def test_lattice_working_set_stays_small(self):
+        grid = GridSpec(0.5, 1.5, -3.0, 3.0, 4, 1 << 18)
+        axes = sum(a.nbytes for a in grid.axes())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(verify_decrease(P_REF, N_SMALL, grid)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= axes + 3_000_000
 
     # The failing path's peak is the join of its result: the benchmark's
     # 400x400 mutant probe returns 52,676 samples in six columns (2.53 MB),
@@ -725,21 +740,31 @@ class TestVerifyDecrease:
         assert all(abs(x1) >= n.N for x1 in found[0].x1)
         assert all(abs(x1) < n.N for x1 in found[3].x1)
 
-    # The open cells' states are screened in full blocks, carried from one
-    # band of lattice rows to the next, and the states the screen keeps are
-    # checked in full batches, carried from one block to the next: on the
-    # benchmark's mutant probe only the last flat screen and the last batch
+    # The lattice points and the open cells' states are screened in full
+    # blocks, the open states carried from one band of lattice rows to the
+    # next, and the states the screen keeps are checked in full batches,
+    # carried from one block to the next: on the benchmark's mutant probe
+    # only the last lattice block, the last flat screen and the last batch
     # are partial, and together they see each open and each kept state once.
     def test_work_runs_in_full_blocks(self, monkeypatch):
-        screen, verify = lyapunov._screen, lyapunov._verify_states
-        screens, kept, batches, in_batch = [], [], [], []
+        screen, verify, prove = lyapunov._screen, lyapunov._verify_states, lyapunov._prove_cells
+        screens, kept, batches, in_batch, lattice, in_lattice = [], [], [], [], [], []
 
         def spy_screen(chk, x1, *rest):
             result = screen(chk, x1, *rest)
-            if np.ndim(x1) == 1 and not in_batch:  # a block: not the lattice, not a batch
+            if in_lattice:
+                lattice.append(x1.size)
+            elif not in_batch:  # a block: not the lattice, not a batch
                 screens.append(x1.size)
                 kept.append(np.count_nonzero(result[2]))
             return result
+
+        def spy_prove(*args):
+            in_lattice.append(True)
+            try:
+                return prove(*args)
+            finally:
+                in_lattice.pop()
 
         def spy_verify(chk, x1, *rest):
             batches.append(x1.size)
@@ -751,10 +776,12 @@ class TestVerifyDecrease:
 
         monkeypatch.setattr(lyapunov, "_screen", spy_screen)
         monkeypatch.setattr(lyapunov, "_verify_states", spy_verify)
+        monkeypatch.setattr(lyapunov, "_prove_cells", spy_prove)
         grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)
         got = verify_decrease(P_MUTANT, N_SMALL, grid, gamma=decay_rate_gamma(P_REF).gamma)
         assert len(got) == 52676
         full = lyapunov._BLOCK_STATES
+        assert lattice[:-1] == [full] * (len(lattice) - 1) and 0 < lattice[-1] <= full
         for sizes in (screens, batches):
             assert len(sizes) > 2
             assert sizes[:-1] == [full] * (len(sizes) - 1)
@@ -764,15 +791,15 @@ class TestVerifyDecrease:
 
     # The result depends neither on the block size nor on the cell size.
     # Block sizes: one row per block with rows longer than a block, a size
-    # whose last block is partial (where the screen works on the first rows
-    # of its workspace only), a prime size that splits the bands' rows at
+    # whose last block is partial (where the screen sees fewer states than
+    # a full block), a prime size that splits the bands' rows at
     # varying offsets, a size larger than three bands (each at most _CELL
     # rows), one block for the whole grid, and the default.  The smaller
     # sizes also cut the per-sample pass into batches of a few states.  Cell
     # sizes: one grid step (every state is a lattice point), a size that
     # leaves a partial last cell on an axis, one larger than the grid (one
-    # cell), and the default; each is run with the smallest block, where the
-    # lattice's two rows can outgrow a block.  The grids: the benchmark's
+    # cell), and the default; each is run with the smallest block, where a
+    # lattice row can outgrow a block.  The grids: the benchmark's
     # mutant probe, one whose in-band rows include x1 = -N and x1 = +N
     # exactly, and a 1 x n and an n x 1 grid, which have no cells.
     @pytest.mark.parametrize(
@@ -821,8 +848,7 @@ class TestVerifyDecrease:
         seen, screen = [], lyapunov._screen
 
         def spy(chk, x1, x2):
-            # The block's states, copied before the carry buffer is refilled:
-            # lattice rows x1[:, None] over lattice columns, or a flat block.
+            # The block's states: lattice points or open states, a flat block.
             states = [a.flatten() for a in np.broadcast_arrays(x1, x2)]
             result = screen(chk, x1, x2)
             # The active mask and the required rate.
