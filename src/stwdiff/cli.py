@@ -8,8 +8,9 @@ c2=0.00149, horizon 2), so `stwdiff simulate` with no flags regenerates it.
 Exit codes: 0 success, 1 verification failure (condition violated or
 decrease violations found), 2 refused input: a bad flag or value, an
 input outside the paper's assumptions, a result that over- or underflows
-float, or an `--out` that cannot be written.  Output is deterministic byte
-for byte; `--stamp` opts into a timestamp line.
+float, or output that cannot be written (an `--out` file, or a closed
+stdout).  Output is deterministic byte for byte; `--stamp` opts into a
+timestamp line.
 
 Each command computes everything first and returns (exit code, summary
 lines, CSV writer or None); `main` alone writes.  The CSV goes to `--out`
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import sys
 
 from . import harness, lyapunov, params, signals
@@ -261,9 +263,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     csv_on_stdout = write_csv is not None and args.out is None
-    if csv_on_stdout:
-        write_csv(sys.stdout)
-    elif write_csv is not None:
+    if write_csv is not None and not csv_on_stdout:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 write_csv(fh)
@@ -272,8 +272,17 @@ def main(argv=None) -> int:
             return 2
     if args.stamp:
         summary = [f"stamp={datetime.datetime.now().isoformat()}", *summary]
-    if summary:
-        print("\n".join(summary), file=sys.stderr if csv_on_stdout else sys.stdout)
+    try:
+        if csv_on_stdout:
+            write_csv(sys.stdout)
+        if summary:
+            print("\n".join(summary), file=sys.stderr if csv_on_stdout else sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Text left in stdout's buffer would fail again at the flush on exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

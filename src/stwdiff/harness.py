@@ -280,7 +280,11 @@ def contour_grid(
 
 
 # Rows formatted per write: bounds the text held in memory at once.
-_CSV_CHUNK_ROWS = 4096
+_CSV_CHUNK_ROWS = 1024
+# The vector `%.17g` formatter (`_g17`) scales by powers of ten in long
+# double, and its error bound holds for a significand of 64 bits or more
+# (x87 extended, quad).
+_LONG_DOUBLE_64 = np.finfo(np.longdouble).nmant >= 63
 
 
 def _write_rows(fileobj, header: str, cols, fmt: str = "{:.17g}") -> None:
@@ -289,10 +293,20 @@ def _write_rows(fileobj, header: str, cols, fmt: str = "{:.17g}") -> None:
     Each value is printed as a Python float with `fmt`; the default's 17
     significant digits parse back to the same float64 bits.  The rows are
     formatted at most `_CSV_CHUNK_ROWS` at a time from the iterator's
-    buffers, so no grid-sized copy of a broadcast column is made.
+    buffers, so no grid-sized copy of a broadcast column is made.  With the
+    default format and a 64-bit long double, `_g17.text` formats each chunk
+    in array operations, to the same bytes.
     """
     fileobj.write(header + "\n")
-    row = ",".join([fmt] * len(cols)) + "\n"
+    if fmt == "{:.17g}" and _LONG_DOUBLE_64:
+        # Imported on first use: an import of the package compiles no formatter.
+        from ._g17 import text
+    else:
+        row = ",".join([fmt] * len(cols)) + "\n"
+
+        def text(chunk):
+            return "".join(map(row.format, *(c.tolist() for c in chunk)))
+
     with np.nditer(
         cols,
         ("external_loop", "buffered", "zerosize_ok"),
@@ -302,7 +316,7 @@ def _write_rows(fileobj, header: str, cols, fmt: str = "{:.17g}") -> None:
         buffersize=_CSV_CHUNK_ROWS,
     ) as it:
         for chunk in it:
-            fileobj.write("".join(map(row.format, *(c.tolist() for c in chunk))))
+            fileobj.write(text(chunk))
 
 
 def write_trajectory_csv(fileobj, rec: TrajectoryRecord) -> None:

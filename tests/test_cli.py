@@ -462,6 +462,29 @@ def test_unwritable_out_exits_two(capsys, tmp_path, target):
 
 
 @pytest.mark.parametrize(
+    "argv, lines_read",
+    [(["contour", "--resolution", "400x400"], 1), (["contour", "--resolution", "2x2"], 0), (["validate"], 0)],
+    ids=["csv-mid-write", "csv-before-write", "summary"],
+)
+def test_closed_stdout_exits_two_with_one_error_line(argv, lines_read):
+    # The reader takes a line and closes the pipe while the CSV is still being
+    # written, as `stwdiff contour ... | head -1` does, or closes it before the
+    # CLI writes at all, so the output waits in stdout's buffer.  Stdout is
+    # buffered, as it is by default, and the interpreter flushes it at exit.
+    src = str(Path(stwdiff.__file__).resolve().parents[1])
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "stwdiff", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert [proc.stdout.readline() for _ in range(lines_read)] == [b"x1,x2,V\n"] * lines_read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize(
     "flag, spec", [("--signal", "quadratic:sing=1"), ("--noise", "switching:NN=5"), ("--noise", "none:N=5")]
 )
 def test_unknown_spec_key_exits_two(capsys, flag, spec):

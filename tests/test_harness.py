@@ -1,8 +1,14 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +52,43 @@ N_REF = NoiseLevel(0.01)
 
 def reference_pair():
     return parse_pair("quadratic:sign=-1", "switching:N=0.01,c1=0.011,c2=0.00149", 1.0, 0.01)
+
+
+def g17_probes():
+    """Float64 values where a vector `%.17g` can go wrong, in a fixed order, every other one negated."""
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # Around the switches between fixed and exponent notation, k = -5 | -4 and 16 | 17.
+    switches = [float(f"{m}e{k}") for k in (-6, -5, -4, -3, 15, 16, 17, 18) for m in ("1", "9.9999999999999999", "1.2")]
+    # Halfway between two 17-digit significands: j 2**(k - 17) with j odd, in
+    # [10**k, 10**(k + 1)), is (j 5**(16 - k) / 2) 10**(k - 16) exactly.  A
+    # float parsed from a 17-digit decimal followed by 5 lies up to a float
+    # ulp (1 to 11 units of the 17th digit) from the tie, so near-ties are
+    # picked from random floats by their exact significand.
+    ties = []
+    for k in range(-7, 15):
+        span = 2 ** (17 - k) * Fraction(10) ** k
+        ties += [float(int(j) * Fraction(2) ** (k - 17)) for j in rng.integers(int(span) + 1, int(10 * span), 30) | 1]
+    for x in (rng.standard_normal(6000) * 10.0 ** rng.integers(-300, 300, 6000)).tolist():
+        significand = Fraction(x) * Fraction(10) ** (16 - Decimal(x).adjusted())
+        ties += [x] * (abs(significand % 1 - Fraction(1, 2)) < Fraction(1, 64))
+    v = np.concatenate(
+        [
+            rng.integers(0, 2**64, 16000, dtype=np.uint64).view(np.float64),  # nan, inf and subnormals among them
+            rng.integers(1, 2**52, 2000, dtype=np.uint64).view(np.float64),  # subnormals
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+            switches,
+            ties,
+            # Just above a tie, by 4e-5 to 8e-4 of the 17th digit, where the
+            # long double product falls just below it.
+            [6.274813004533729e258, 3.3469506586676623e298, 1.5281945549014892e245, 7.184955501738035e208],
+            [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ]
+    )
+    v.view(np.uint64)[1::2] ^= np.uint64(1 << 63)
+    return v
 
 
 def piecewise_constant(seed, bound, hold, horizon):
@@ -575,13 +618,51 @@ class TestCsv:
         rows = [",".join(map(repr, row)) for row in cols[:6].T.tolist()]
         assert buf.getvalue() == "\n".join(["x1,x2,eta,fddot,observed,required", *rows]) + "\n"
 
+    @pytest.mark.parametrize("vector", [True, False], ids=["vector", "per-row"])
+    def test_g17_formats_as_python_byte_for_byte(self, monkeypatch, vector):
+        # Without a 64-bit long double the writer formats every value per row.
+        if not vector:
+            monkeypatch.setattr(harness, "_LONG_DOUBLE_64", False)
+        v = g17_probes()
+        cols = np.resize(v, (len(TRAJECTORY_COLUMNS), -(-len(v) // 8)))
+        buf = io.StringIO()
+        write_trajectory_csv(buf, TrajectoryRecord(*cols))
+        rows = [",".join(format(x, ".17g") for x in row) for row in cols.T.tolist()]
+        assert buf.getvalue() == "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"
+        x1s, x2s, V = v[:30], v[30:230], np.resize(v[::-1], (30, 200))
+        buf = io.StringIO()
+        write_contour_csv(buf, x1s, x2s, V)
+        rows = [
+            ",".join(format(x, ".17g") for x in (a, b, c))
+            for a, row in zip(x1s.tolist(), V.tolist())
+            for b, c in zip(x2s.tolist(), row)
+        ]
+        assert buf.getvalue() == "\n".join(["x1,x2,V", *rows]) + "\n"
+
+    @pytest.mark.skipif(not harness._LONG_DOUBLE_64, reason="the vector path needs a 64-bit long double")
+    def test_g17_powers_of_ten_are_rounded_once(self):
+        # The vector path's error bound takes each 10**p within 2**-64 of itself.
+        from stwdiff import _g17
+
+        for p in range(16 - _g17.KMAX, 17 - _g17.KMIN):
+            t = Fraction(*_g17.pow10(p).as_integer_ratio())
+            assert abs(t / Fraction(10) ** p - 1) <= Fraction(1, 2**64)
+
+    def test_import_compiles_no_g17_formatter(self):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        code = "import sys, stwdiff; assert 'stwdiff._g17' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+
     # The writer formats a chunk of rows at a time from its columns'
-    # broadcast, so it holds one chunk's numbers and text: 0.8 MB traced for
-    # the 1500x1500 contour, 1.7 MB for the 52,676 rows of the benchmark's
-    # 400x400 mutant probe.  The contour's repeated coordinate columns took
-    # 37 MB, and the violations' whole-column lists 10 MB, before the first
-    # row was written.  The sink stops the write after three chunks, when the
-    # peak has been reached: a whole traced 1500x1500 write takes 25 s.
+    # broadcast, so it holds one chunk's numbers and text: 0.7 MB traced for
+    # the 1500x1500 contour (whose first chunk builds the `%.17g` tables),
+    # 1.6 MB for the 8 columns of a trajectory, 0.4 MB for the 52,676 rows
+    # of the benchmark's 400x400 mutant probe.  The contour's repeated
+    # coordinate columns took 37 MB, and the violations' whole-column lists
+    # 10 MB, before the first row was written; 4,096 rows of trajectory text
+    # formatted per value took 2.5 MB.  The sink stops the write after three
+    # chunks, when the peak has been reached: a whole traced 1500x1500 write
+    # takes 25 s.
     def test_writers_hold_one_chunk_of_rows(self):
         class Stop(Exception):
             pass
@@ -606,6 +687,8 @@ class TestCsv:
 
         x1s, x2s, V = contour_grid(P_REF, (-3.0, 3.0, -3.0, 3.0), (1500, 1500))
         assert peak(lambda fh: write_contour_csv(fh, x1s, x2s, V)) <= 2_000_000
+        rec = TrajectoryRecord(*np.random.default_rng(3).standard_normal((8, 4 * harness._CSV_CHUNK_ROWS)))
+        assert peak(lambda fh: write_trajectory_csv(fh, rec)) <= 2_000_000
         grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)
         violations = verify_decrease(Params(4.1, 0.5, 1.0, 4.0), N_REF, grid, gamma=decay_rate_gamma(P_REF).gamma)
         assert len(violations) == 52676
