@@ -6,7 +6,7 @@ constructions, fixed-step (explicit and chattering-free implicit)
 simulation, and a CLI tying it together.
 """
 
-from .differentiator import DiffState, StepScheme, init, rhs, solve_sigma, step_explicit, step_implicit
+from .differentiator import DiffState, StepScheme, init, solve_sigma, step_explicit, step_implicit
 from .harness import (
     ErrorSummary,
     InvarianceReport,
@@ -31,9 +31,7 @@ from .lyapunov import (
     decay_rate_gamma,
     evaluate,
     evaluate_grid,
-    omega_contains,
     region,
-    sup_x2_on_omega,
     verify_decrease,
 )
 from .params import (
@@ -51,10 +49,8 @@ from .params import (
 from .signals import (
     SignalPair,
     WorstCaseSpec,
-    check_membership,
     parse_pair,
     sliding_reference,
-    switching_noise,
     worst_case_pair,
 )
 

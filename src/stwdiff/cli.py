@@ -95,8 +95,8 @@ def cmd_tune(args):
     n = params.NoiseLevel(args.N)
     lo = args.lambda2_start
     hi = args.lambda2_stop
-    if not (lo > 1.0 and hi > lo and args.steps >= 2):
-        raise ValueError("need 1 < lambda2-start < lambda2-stop and steps >= 2")
+    if not (1.0 < lo < hi < math.inf and args.steps >= 2):
+        raise ValueError("need 1 < lambda2-start < lambda2-stop < inf and steps >= 2")
     rows = ["lambda2 time_bound error_bound lambda1_lo lambda1_hi"]
     for k in range(args.steps):
         lam2 = lo + (hi - lo) * k / (args.steps - 1)

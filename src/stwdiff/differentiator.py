@@ -1,4 +1,4 @@
-"""Super-twisting differentiator: continuous dynamics and fixed-step forms.
+"""Super-twisting differentiator: its two fixed-step updates and the step API.
 
 State (y1, y2) estimates the measured signal and its first derivative from
 the noisy input u; the square-root injection drives y1 onto u and the
@@ -64,30 +64,6 @@ class StepScheme:
 def init(u0: float) -> DiffState:
     """Initial state (u0, 0): y1 starts on the first measurement, y2 at rest."""
     return DiffState(u0, 0.0)
-
-
-def spow_half(y: float) -> float:
-    """Signed square root |y|^(1/2) * sign(y)."""
-    return math.copysign(math.sqrt(abs(y)), y)
-
-
-def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[float, float]:
-    """Continuous-time right-hand side (dy1, dy2).
-
-    `selection` in [-1, 1] supplies the set-valued sign when u == y1
-    exactly (Filippov selection); it is ignored otherwise.
-    """
-    if not -1.0 <= selection <= 1.0:
-        raise ValueError(f"selection must lie in [-1, 1], got {selection}")
-    d = u - s.y1
-    if d != 0.0:
-        sgn = math.copysign(1.0, d)
-        half = spow_half(d)
-    else:
-        sgn = selection
-        half = 0.0
-    k1, k2 = p.injection_gains
-    return (k1 * half + s.y2, k2 * sgn)
 
 
 def explicit_update(y1: float, y2: float, u: float, dt: float, k1: float, k2: float) -> tuple[float, float]:

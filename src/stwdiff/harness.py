@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import differentiator as stw
-from .lyapunov import DecreaseViolation, ErrorState, GridSpec, Violations, evaluate_grid
+from .lyapunov import ErrorState, GridSpec, Violations, evaluate_grid
 from .params import NoiseLevel, Params, error_lower_bound, error_upper_bound
 from .signals import SignalPair, TimeFn, sample_each
 
@@ -348,14 +347,8 @@ def write_contour_csv(fileobj, x1s: np.ndarray, x2s: np.ndarray, V: np.ndarray) 
     _write_rows(fileobj, "x1,x2,V", [x1s[:, None], x2s, V])
 
 
-def write_violations_csv(fileobj, violations: Iterable[DecreaseViolation]) -> None:
-    """Emit violations as x1,x2,eta,fddot,observed,required rows, each value its float repr.
-
-    Takes a `Violations` result or any records; records become columns first.
-    """
-    if not isinstance(violations, Violations):
-        rows = [(v.state.x1, v.state.x2, v.eta, v.fddot, v.observed_rate, v.required_rate) for v in violations]
-        violations = Violations(*np.reshape(rows, (-1, 6)).T)
+def write_violations_csv(fileobj, violations: Violations) -> None:
+    """Emit a `Violations` result's columns as x1,x2,eta,fddot,observed,required rows, each value its float repr."""
     _write_rows(
         fileobj, "x1,x2,eta,fddot,observed,required", [getattr(violations, f.name) for f in fields(violations)], "{!r}"
     )

@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .params import NoiseLevel, Params, error_upper_bound, is_count, require_finite, validate_condition
+from .params import NoiseLevel, Params, is_count, require_finite, validate_condition
 
 W1, W2, W3 = "W1", "W2", "W3"
 
@@ -236,16 +236,6 @@ def evaluate_grid(x1, x2, p: Params) -> np.ndarray:
         for a, b, v in it:
             v[...] = _value(a, _column_terms(b, p))[3]
         return it.operands[2]
-
-
-def sup_x2_on_omega(p: Params, n: NoiseLevel) -> float:
-    """Largest |x2| over the invariant set {V <= N}: the error bound is this sup."""
-    return error_upper_bound(p, n)
-
-
-def omega_contains(x: ErrorState, p: Params, n: NoiseLevel) -> bool:
-    """True iff the state lies in the invariant set, boundary included."""
-    return evaluate(x, p) <= n.N
 
 
 def decay_rate_gamma(p: Params) -> GammaReport:

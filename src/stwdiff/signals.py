@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .params import NoiseLevel, check_positive_finite, is_count
+from .params import NoiseLevel, check_positive_finite
 
 TimeFn = Callable[[float], float]
 GridFn = Callable[[np.ndarray], np.ndarray]
@@ -45,10 +45,10 @@ def sample_each(fn: TimeFn, ts: np.ndarray) -> np.ndarray:
 class SignalPair:
     """A concrete (f, eta) realization with certified bounds.
 
-    `fddot` may be None for externally supplied signals; membership checks
-    then fall back to second differences.  `grid`, set by the built-in pairs,
-    is the array form of their own evaluators: it maps times to (f, fdot, eta)
-    bit for bit, so a pair whose evaluator is swapped needs `grid=None` too.
+    `fddot` may be None for externally supplied signals.  `grid`, set by the
+    built-in pairs, is the array form of their own evaluators: it maps times
+    to (f, fdot, eta) bit for bit, so a pair whose evaluator is swapped needs
+    `grid=None` too.
     """
 
     f: TimeFn
@@ -72,7 +72,12 @@ class SignalPair:
 
 
 def _switching(N: float, c1: float, c2: float) -> tuple[TimeFn, GridFn]:
-    """Scalar and array forms of `switching_noise` on finite t >= 0; checks 0 < c2 < c1 once."""
+    """Scalar and array forms of the square-wave noise on finite t >= 0; checks 0 < c2 < c1 once.
+
+    The noise is -N before t = 10 c1, then has period c1: +N for the first c2
+    of each period and -N for the rest, and 0 exactly at the switch instant
+    (measure zero, irrelevant for admissibility).
+    """
     if not 0.0 < c2 < c1:
         raise ValueError(f"switching noise needs 0 < c2 < c1, got c1={c1}, c2={c2}")
     start = 10.0 * c1
@@ -112,16 +117,6 @@ def _switching(N: float, c1: float, c2: float) -> tuple[TimeFn, GridFn]:
         return out
 
     return eta, grid
-
-
-def switching_noise(t: float, N: float, c1: float, c2: float) -> float:
-    """Square-wave noise: -N before t = 10 c1, then period c1 with duty c2/c1 at +N.
-
-    Within each period the first sub-interval of length c2 sits at +N and
-    the remainder at -N; exactly at the switch instant the value is 0
-    (measure zero, irrelevant for admissibility).
-    """
-    return _switching(N, c1, c2)[0](t)
 
 
 @dataclass(frozen=True)
@@ -209,29 +204,6 @@ def sliding_reference(spec: WorstCaseSpec, t):
         raise ValueError(f"sliding reference valid only up to tau={spec.tau}, got t={np.max(t)}")
     fv, fd = _ramp(spec.L, np.maximum(t - (spec.tau - spec.theta), 0.0))
     return spec.N - spec.lambda2 * fv, -spec.lambda2 * fd
-
-
-def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
-    """Densely verify |eta| <= N_cert and |fddot| <= L_cert over [0, horizon].
-
-    Samples the pair at t_k = k h, with the analytic fddot when the pair has
-    one, else central second differences of the inner f samples.  Tolerance
-    1e-9 * max(N_cert, L_cert); each bound is tested with `<=`, so NaN fails.
-    """
-    check_positive_finite("horizon", horizon)
-    if not is_count(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    tol = 1e-9 * max(pair.N_cert, pair.L_cert)
-    h = horizon / (samples - 1)
-    ts = np.arange(samples) * h
-    fs, _, etas = pair.sample(ts)
-    if pair.fddot is not None:
-        fdds = sample_each(pair.fddot, ts)
-    else:
-        fdds = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / (h * h)
-    return bool(np.all(np.abs(etas) <= pair.N_cert + tol) and np.all(np.abs(fdds) <= pair.L_cert + tol))
 
 
 # Keys of each spec kind and their defaults; None stands for the default_L,

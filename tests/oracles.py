@@ -12,7 +12,10 @@ x = (y1 - f, y2 - fdot), as a reference for the harness, which runs them
 through the differentiator loop instead.  `_thresholds_grid` is the array
 form of V as whole-array `np.where` selections, the reference for the
 library's blocked form.  The gain condition is decided in exact rational
-arithmetic (`fractions.Fraction`), with no rounding at all.
+arithmetic (`fractions.Fraction`), with no rounding at all.  `rhs` is the
+differentiator's continuous field, the reference its forward Euler step is
+tied to, and `check_membership` samples a signal pair against its certified
+bounds.
 """
 
 import math
@@ -21,9 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from stwdiff import ErrorState, Params, evaluate, region
+from stwdiff import DiffState, ErrorState, Params, SignalPair, evaluate, region
 from stwdiff import differentiator as stw
 from stwdiff.lyapunov import DecreaseViolation, _wdot_branches
+from stwdiff.params import check_positive_finite, is_count
+from stwdiff.signals import sample_each
 
 PREC = 50
 
@@ -154,6 +159,44 @@ def bisect_sigma(r: float, a: float, b: float, iters: int = 200) -> tuple[float,
             break
     m = 0.5 * (lo + hi)
     return math.copysign(m, r), math.copysign(1.0, r)
+
+
+def rhs(s: DiffState, u: float, p: Params, selection: float = 0.0) -> tuple[float, float]:
+    """Continuous-time right-hand side (dy1, dy2) of the differentiator.
+
+    dy1 = k1 |d|^(1/2) sign(d) + y2 and dy2 = k2 sign(d), d = u - y1, with
+    (k1, k2) the injection gains.  `selection` in [-1, 1] supplies the
+    set-valued sign when d == 0 exactly (Filippov selection); it is ignored
+    otherwise.
+    """
+    if not -1.0 <= selection <= 1.0:
+        raise ValueError(f"selection must lie in [-1, 1], got {selection}")
+    d = u - s.y1
+    k1, k2 = p.injection_gains
+    return k1 * math.copysign(math.sqrt(abs(d)), d) + s.y2, k2 * (math.copysign(1.0, d) if d else selection)
+
+
+def check_membership(pair: SignalPair, horizon: float, samples: int) -> bool:
+    """Densely verify |eta| <= N_cert and |fddot| <= L_cert over [0, horizon].
+
+    Samples the pair at t_k = k h, with the analytic fddot when the pair has
+    one, else central second differences of the inner f samples.  Tolerance
+    1e-9 * max(N_cert, L_cert); each bound is tested with `<=`, so NaN fails.
+    """
+    check_positive_finite("horizon", horizon)
+    if not is_count(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    tol = 1e-9 * max(pair.N_cert, pair.L_cert)
+    h = horizon / (samples - 1)
+    ts = np.arange(samples) * h
+    fs, _, etas = pair.sample(ts)
+    if pair.fddot is not None:
+        fdds = sample_each(pair.fddot, ts)
+    else:
+        fdds = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / (h * h)
+    return bool(np.all(np.abs(etas) <= pair.N_cert + tol) and np.all(np.abs(fdds) <= pair.L_cert + tol))
 
 
 def sigma_residual(r: float, a: float, b: float, sigma: float, xi: float) -> Decimal:

@@ -29,7 +29,6 @@ from stwdiff import (
     simulate_error_system,
     sliding_reference,
     solve_sigma,
-    sup_x2_on_omega,
     tightness_factor,
     verify_decrease,
     worst_case_pair,
@@ -107,7 +106,7 @@ def test_criterion_4_sup_x2_closed_form_vs_brute_force():
     # Boundary sampling without the closed form: scan each x2 row for the
     # {V <= N} interval, refine both interval endpoints by bisection on V.
     N = 1.0
-    closed = sup_x2_on_omega(P_CONTOUR, NoiseLevel(N))
+    closed = error_upper_bound(P_CONTOUR, NoiseLevel(N))
     rows = 62000
     x2s = np.linspace(-4.8, 4.8, rows)
     coarse = np.linspace(-12.0, 12.0, 257)

@@ -102,6 +102,9 @@ class TestTune:
     def test_bad_sweep_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["tune", "--lambda2-start", "0.9"])
         assert code == 2
+        # An infinite stop used to reach lambda2 = lo + (inf - lo) * 0 = nan.
+        want = "error: need 1 < lambda2-start < lambda2-stop < inf and steps >= 2\n"
+        assert run_cli(capsys, ["tune", "--lambda2-stop", "inf"]) == (2, "", want)
         for value in ("nan", "inf", "-inf"):
             code, out, err = run_cli(capsys, ["tune", f"--fdot0={value}"])
             assert code == 2

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from stwdiff import DiffState, Params, StepScheme, init, rhs, solve_sigma, step_explicit, step_implicit
+from oracles import rhs
+from stwdiff import DiffState, Params, StepScheme, init, solve_sigma, step_explicit, step_implicit
 
 P_REF = Params(4.1, 1.1, 1.0, 4.0)
 EXP = StepScheme("explicit", 5e-4)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -26,6 +27,7 @@ from stwdiff import (
     StepScheme,
     Violations,
     contour_grid,
+    convergence_time_bound,
     decay_rate_gamma,
     error_summary,
     error_upper_bound,
@@ -292,6 +294,13 @@ class TestSimulate:
         for name in TRAJECTORY_COLUMNS:
             assert np.array_equal(getattr(rec, name).view(np.uint64), getattr(ref, name).view(np.uint64)), name
 
+    def test_readme_library_example_runs(self, capsys):
+        # README's one Python block, run as written: its own assert ties the
+        # step API to `simulate`, and it prints the error next to the bound.
+        (block,) = re.findall(r"^```python\n(.*?)^```", (Path(__file__).parents[1] / "README.md").read_text(), re.M | re.S)
+        exec(block, {})
+        assert " <= " in capsys.readouterr().out
+
 
 class TestTrajectoryRecord:
     def test_columns_are_the_record_fields(self):
@@ -468,6 +477,36 @@ class TestErrorSummary:
         with pytest.raises(ValueError, match="band"):
             error_summary(rec, P_REF, N_REF, tau=0.0, band=band)
         assert error_summary(rec, P_REF, N_REF, tau=0.0, band=0.0).first_entry_time is None
+
+
+class TestConvergenceTime:
+    # Noise-free runs on f = v t + s L t^2 / 2 from the standard start, where
+    # the derivative error starts at -v; T = convergence_time_bound.  Once
+    # settled, the explicit scheme chatters within 2.82 (lambda2 + 1) L dt
+    # and the implicit one lags by 0.2 of it (measured over 60 random gain
+    # sets), so dt makes 4 (lambda2 + 1) L dt the band 1e-3 |v|.  With
+    # s = sign(v) the error decays linearly at (lambda2 - 1) L and enters the
+    # band at 0.9991 T or later: the bound is attained to within the margin
+    # 2e-3.  With the opposite sign it takes (lambda2 - 1) / (lambda2 + 1) of
+    # T.  A run is 1.2 T, 5,700 to 37,000 steps.
+    @pytest.mark.parametrize("kind", ["explicit", "implicit"])
+    @settings(max_examples=20)
+    @given(
+        lam2=st.floats(1.3, 12.0), frac=st.floats(0.2, 0.8), L=st.floats(0.1, 10.0), v=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+    )
+    def test_reach_time_is_within_the_bound_and_attains_it(self, kind, lam2, frac, L, v):
+        iv = lambda1_range(lam2, 4.0)
+        p = Params(iv.lo + frac * (iv.hi - iv.lo), lam2, L, 4.0)
+        T, band = convergence_time_bound(p, v), 1e-3 * abs(v)
+        dt = band / (4.0 * (lam2 + 1.0) * L)
+        for s in (1.0, -1.0):
+            f = lambda t: v * t + s * L * t * t / 2.0
+            fdot = lambda t: v + s * L * t
+            pair = SignalPair(f, fdot, None, lambda t: 0.0, L, 0.0, "ramp", lambda ts: (f(ts), fdot(ts), 0.0 * ts))
+            rec = simulate(SimConfig(StepScheme(kind, dt), round(1.2 * T / dt) * dt, p, NoiseLevel(0.0)), pair)
+            reach = error_summary(rec, p, NoiseLevel(0.0), 0.0, band).first_entry_time
+            assert reach <= T + 2.0 * dt
+            assert reach >= (1.0 - 2e-3) * T - 2.0 * dt or s * v < 0
 
 
 class TestOmegaInvariance:

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import check_membership
 from stwdiff import (
     SignalPair,
     WorstCaseSpec,
-    check_membership,
     parse_pair,
     sliding_reference,
-    switching_noise,
     worst_case_pair,
 )
 from stwdiff.signals import sample_each
@@ -21,48 +20,56 @@ from stwdiff.signals import sample_each
 SPEC = WorstCaseSpec(tau=1.0, lambda2=1.1, N=0.01, L=1.0)
 
 
+def switching(N, c1, c2):
+    """The scalar noise of a `switching:N=...,c1=...,c2=...` spec, built by parse_pair."""
+    return parse_pair("quadratic", f"switching:N={N!r},c1={c1!r},c2={c2!r}", 1.0, N).eta
+
+
 class TestSwitchingNoise:
     def test_initial_phase(self):
-        assert switching_noise(0.05, 0.01, 0.011, 0.00149) == -0.01
+        assert switching(0.01, 0.011, 0.00149)(0.05) == -0.01
 
     def test_duty_fraction(self):
         # Sample one period after activation: the +N fraction equals c2/c1.
         N, c1, c2 = 0.01, 0.011, 0.00149
         ts = 10 * c1 + np.linspace(0.0, c1, 100001)[:-1]
-        vals = np.array([switching_noise(float(t), N, c1, c2) for t in ts])
+        eta = switching(N, c1, c2)
+        vals = np.array([eta(float(t)) for t in ts])
         assert np.mean(vals > 0) == pytest.approx(c2 / c1, abs=2e-4)
 
     def test_activation_instant_is_positive(self):
         c1 = 0.011
-        assert switching_noise(10 * c1, 0.01, c1, 0.00149) == 0.01
+        assert switching(0.01, c1, 0.00149)(10 * c1) == 0.01
 
     def test_exact_switch_is_zero(self):
         # Binary-exact constants make the switch instant representable.
-        assert switching_noise(10 * 0.5 + 0.125, 1.0, 0.5, 0.125) == 0.0
+        assert switching(1.0, 0.5, 0.125)(10 * 0.5 + 0.125) == 0.0
 
     def test_periodicity(self):
         N, c1, c2 = 1.0, 0.5, 0.125  # binary exact: periodicity holds exactly
         rng = np.random.default_rng(3)
+        eta = switching(N, c1, c2)
         for t in 10 * c1 + rng.uniform(0, 20, size=200):
-            assert switching_noise(t + c1, N, c1, c2) == switching_noise(t, N, c1, c2)
+            assert eta(t + c1) == eta(t)
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
-            switching_noise(1.0, 0.01, 0.011, 0.011)
+            switching(0.01, 0.011, 0.011)(1.0)
         with pytest.raises(ValueError):
-            switching_noise(1.0, 0.01, 0.011, 0.0)
+            switching(0.01, 0.011, 0.0)(1.0)
         with pytest.raises(ValueError):
-            switching_noise(-1e-9, 0.01, 0.011, 0.00149)
+            switching(0.01, 0.011, 0.00149)(-1e-9)
 
     @pytest.mark.parametrize("N, c1, c2", [(0.01, 0.011, 0.00149), (1.0, 0.5, 0.125), (0.02, 0.0137, 0.0061)])
     def test_pair_noise_is_switching_noise_bit_for_bit(self, N, c1, c2):
-        # parse_pair checks (c1, c2) once and keeps the closure; the function
-        # checks on every call. Both must give the same value at every time.
-        eta = parse_pair("quadratic", f"switching:N={N!r},c1={c1!r},c2={c2!r}", 1.0, 0.01).eta
+        # parse_pair checks (c1, c2) once and keeps the closure: reused at
+        # every time, it gives what a freshly built noise gives, so it keeps
+        # no state between calls.
+        eta = switching(N, c1, c2)
         rng = np.random.default_rng(41)
         ts = np.concatenate([switching_grid(c1, c2), rng.uniform(0.0, 400 * c1, size=2000)])
         got = np.array([eta(t) for t in ts.tolist()])
-        want = np.array([switching_noise(t, N, c1, c2) for t in ts.tolist()])
+        want = np.array([switching(N, c1, c2)(t) for t in ts.tolist()])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert {-N, N} <= set(got.tolist())
 
@@ -77,7 +84,7 @@ class TestSwitchingNoise:
         # message at NaN) while the array form returned 0.0 with a warning.
         pair = parse_pair("quadratic", "switching", 1.0, 0.01)
         calls = (
-            lambda: switching_noise(t, 0.01, 0.011, 0.00149),
+            lambda: switching(0.01, 0.011, 0.00149)(t),
             lambda: pair.eta(t),
             lambda: pair.sample(np.array([0.0, 0.5, t, 1.0])),
         )
@@ -91,7 +98,7 @@ class TestSwitchingNoise:
         with pytest.raises(ValueError, match="0 < c2 < c1"):
             parse_pair("quadratic", f"switching:c1={c1!r},c2={c2!r}", 1.0, 0.01)
         with pytest.raises(ValueError, match="0 < c2 < c1"):
-            switching_noise(1.0, 0.01, c1, c2)
+            switching(0.01, c1, c2)(1.0)
 
 
 def quadratic_signal(t, L, sign):
