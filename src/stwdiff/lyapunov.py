@@ -414,37 +414,64 @@ def _rebatch(pieces):
         yield held
 
 
+def _screened_cells(chk, x1l, x2l):
+    """Screen the lattice x1l x x2l in flat blocks, like any states, and fold its corners.
+
+    Returns each cell's lowest and highest corner region code (2 for W1, 1
+    for W2, 0 for W3; -1 where inactive or within eps_cell of a threshold)
+    and smallest corner required rate plus tolerance.
+    """
+    parts = []
+    for block in _rebatch(_pieces(x1l, x2l)):
+        (_, _, le1, le2, active, near1, near2, _, limit), _, _ = _screen(chk, *block)
+        parts.append((np.where(active & ~near1 & ~near2, le1 + le2.astype(np.int8), -1), limit))
+    code, limit = (np.concatenate(a).reshape(x1l.size, x2l.size) for a in zip(*parts))
+    return _fold(code, np.minimum), _fold(code, np.maximum), _fold(limit, np.minimum)
+
+
+def _cell_peaks(chk, x1l, x2l):
+    """W1's, W2's and W3's largest corner rates at their peaks, per cell of the lattice x1l x x2l.
+
+    The peaks are (eta, fddot) = (-N, -L) for W1 and W2 and (N, L) for W3;
+    the rates are written piece by piece into one lattice-shaped array.
+    """
+    p, N = chk.p, chk.N
+    peaks, at = np.empty((3, x1l.size, x2l.size)), 0
+    lattice = peaks.reshape(3, -1)
+    for piece in _pieces(x1l, x2l):
+        piece *= np.where(piece[1] >= 0.0, 1.0, -1.0)  # (z1, z2): the mirror
+        points = slice(at, at + piece.shape[1])
+        lattice[:2, points] = next(_wdot_branches(*piece, -N, (-p.L,), p))[:2]
+        lattice[2, points] = next(_wdot_branches(*piece, N, (p.L,), p))[2]
+        at = points.stop
+    return [_fold(a, np.maximum) for a in peaks]
+
+
 def _prove_cells(chk, x1s, x2s, er, ec):
     """Which cells of the vertex lattice hold no state with a failing sample.
 
     Cell (i, j) spans lattice rows i, i + 1 and columns j, j + 1 (indices
     er and ec: the cell edges, with the last replaced by the last point).
-    The lattice points are screened in flat blocks, like any other states;
-    each point's region code, peak rate and required rate plus tolerance
-    are joined into lattice-shaped arrays, whose corners are then folded
-    into cell verdicts (see verify_decrease).
+    The branches' peaks are evaluated once the screen's arrays are gone
+    (see verify_decrease for the rule).
     """
+    p, N = chk.p, chk.N
     rows, columns = np.minimum(er, er[-1] - 1), np.minimum(ec, ec[-1] - 1)
     x1l, x2l = x1s[rows], x2s[columns]
-    parts = []
-    for block in _rebatch(_pieces(x1l, x2l)):
-        (_, _, le1, le2, active, _, _, _, limit), worst, keep = _screen(chk, *block)
-        # The region as a code, 2 for W1, 1 for W2 and 0 for W3; -1 where the
-        # point is inactive or kept (near a threshold, in the band, failing).
-        code = np.add(le1, le2, dtype=np.int8)
-        code[~active | keep] = -1
-        parts.append((code, worst, limit))
-    # Each joined into the lattice's shape; the blocks' parts are dropped.
-    code, worst, limit = parts = [np.concatenate(a).reshape(rows.size, columns.size) for a in zip(*parts)]
+    low, high, lmin = _screened_cells(chk, x1l, x2l)
+    band = (x1l[:-1] <= N) & (x1l[1:] >= -N)  # the rows of cells whose x1 span meets [-N, N]
+    z2 = x2l * np.where(x2l >= 0.0, 1.0, -1.0)
+    # The largest corner peak, and in the band kink value (eta = z1, taken at
+    # the columns' z2), of each branch between the corners' codes; inf where
+    # no corner is valid.
+    wmax = np.where(high < 0, np.inf, -np.inf)
+    for b, (w, fddot) in enumerate(zip(_cell_peaks(chk, x1l, x2l), (-p.L, -p.L, p.L))):
+        kink = next(_wdot_branches(N, z2, N, (fddot,), p))[b]
+        np.maximum(w, np.maximum(kink[:-1], kink[1:]), out=w, where=band[:, None])
+        np.maximum(wmax, w, out=wmax, where=(low <= 2 - b) & (2 - b <= high))
     half = x2l >= 0.0  # the mirror half of each lattice column
-    low = _fold(code, np.minimum)
-    same = (low >= 0) & (low == _fold(code, np.maximum)) & (half[:-1] == half[1:])
-    same &= ((x1l[:-1] > chk.N) | (x1l[1:] < -chk.N))[:, None]
-    # The largest peak rate and the smallest required rate plus tolerance.
-    wmax, lmin = _fold(worst, np.maximum), _fold(limit, np.minimum)
-    z2 = np.abs(x2l)  # z2 up to the sign of a zero, which the sum (at least 1) hides
     slack = 1e-12 * (1.0 + np.abs(wmax) + np.abs(lmin) + np.maximum(z2[:-1], z2[1:]))
-    return same & (wmax + slack <= lmin)
+    return (low >= 0) & (half[:-1] == half[1:]) & (wmax + slack <= lmin)
 
 
 def _open_states(x1s, x2s, er, ec, proved):
@@ -542,36 +569,50 @@ def verify_decrease(
 
     Before that, whole cells of the grid are proved from their corners.
     The vertex lattice (every 16th row and column, and the last) is screened
-    like any state, and a cell of 2 x 2 lattice points is proved when its
-    four corners are active, lie in one region and one mirror half, and are
-    each farther than their own eps_cell from both thresholds; its x1 span
-    misses [-N, N]; and its largest corner peak rate, plus a slack of
-    1e-12 (1 + |peak| + |required| + max z2), is at most its smallest
-    required rate plus tolerance.  Within such a cell the thresholds and V
-    are monotone in z1 and z2 under rounding, so every state is active and
-    in the corners' region, and its required rate is at least the one at
-    the cell's largest V.  Each distance to a threshold minus eps_cell is
-    monotone in z1 and z2 too, so it is least at a corner: where the two
-    are close the subtraction z1 - t is exact, and the distance moves by
-    a whole ulp of t for each move of eps_cell by about 1e-9 of one (at
-    t2 < 1 eps_cell is constant).  Each branch's exact peak
-    rate is monotone in z1 and affine in z2, so its maximum is at a corner.
-    The computed rate is not monotone in z2 everywhere: W1's rate adds
-    z2 (push - fddot) / (alpha (lambda2+1) L) and subtracts z2, which pull
-    opposite ways where push - fddot > 0 (z1 < -N, or lambda2 < 1).  Both
-    terms are at most z2 in size, so the slack dominates their rounding at
-    any state of the cell.  The band test is on the span, not the corners:
-    a cell of 16 steps at 1500 points over [-3, 3] is 0.064 wide, against a
-    band of 0.02 at N = 0.01.  A non-finite V or required rate at a corner
-    raises from the lattice's screen, and a non-finite peak rate fails the
-    slack test, so its cells stay open; inside a proved cell V lies between
-    its corner values, so an overflow anywhere still raises from the
-    screen.  No state of a proved cell has a failing sample, so the cells
-    only skip work: the states of the open cells are taken in grid order,
-    in flat blocks carried from one band of lattice rows to the next, and
-    screened and reported as above.  The lattice is screened the same way,
-    in flat blocks of lattice points.  A grid with one point on an axis has
-    no cells.
+    like any state.  A cell of 2 x 2 lattice points is proved when its four
+    corners are active, lie in one mirror half and are each farther than
+    their own eps_cell from both thresholds, and its bound, plus a slack of
+    1e-12 (1 + |bound| + |required| + max z2), is at most its smallest
+    corner required rate plus tolerance.  The bound covers each branch whose
+    region code ([z1 <= t1] + [z1 <= t2]: 2 W1, 1 W2, 0 W3) lies between
+    the corners' least and greatest: its rate at each corner at its peak
+    disturbance (W1's and W2's (eta, fddot) = (-N, -L), W3's (N, L)) and,
+    when the cell's x1 span meets [-N, N], its kink value at the cell's z2.
+    - The code is nonincreasing in z1 and nondecreasing in z2 under
+      rounding, so each state's lies between the corners'.  So does the
+      branch beyond a threshold that a state within eps_cell of it is also
+      checked on: each distance to a threshold minus eps_cell is monotone in
+      z1 and z2 and least at a corner (where the two are close z1 - t is
+      exact, and moves a whole ulp of t per move of eps_cell by about 1e-9
+      of one; at t2 < 1 eps_cell is constant).
+    - Off the band the sign of z1 - eta is fixed, and a branch's rate at its
+      peak is the largest of its samples, monotone in z1 and affine in z2:
+      greatest at a corner, whatever region the corner lies in.
+    - Across the band, W1's and W2's rates at eta = -N jump once, at
+      z1 = -N, and W3's at eta = N once, at z1 = N.  The kink value, the
+      worst selection at eta = z1, bounds each jump's high side, does not
+      depend on z1 and is affine in z2.  An in-band state's worst over eta
+      is the larger of its value at the peak's eta and its kink value.
+    - V's largest value over the cell is at a corner: along z1 it falls in
+      W1, holds in W2 and rises in W3; along z2 it falls in W3 and rises in
+      W2 and W1.  It does so as computed, where W3's value just past t2 may
+      step from t1 by a rounding either way.  The required rate at the
+      largest corner V bounds every active state.
+    - Every step after z1 - eta is monotone under rounding: each computed
+      rate is monotone in z1 on either side of its jump, up to the computed
+      kink value, the per-sample pass's bit for bit.  In z2 it is not: W1's
+      rate adds z2 (push - fddot) / (alpha (lambda2+1) L) and subtracts z2,
+      which pull opposite ways where push - fddot > 0.  Each such term is at
+      most z2 in size, so the slack dominates their rounding.
+    The band test is on the span: a cell of 16 steps at 1500 points over
+    [-3, 3] is 0.064 wide, against a band of 0.02 at N = 0.01.  A non-finite
+    V or required rate at a corner raises from the lattice's screen, and a
+    non-finite bound leaves its cell open; in a proved cell V is at most its
+    largest corner value, so an overflow anywhere still raises.  No state
+    of a proved cell has a failing sample, so the cells only skip work: the
+    open cells' states are taken in grid order, in flat blocks carried from
+    one band of lattice rows to the next, and screened and reported as
+    above.  A grid with one point on an axis has no cells.
 
     When `gamma` is omitted it is taken from :func:`decay_rate_gamma`,
     which requires the gain condition to hold; passing `gamma` explicitly
@@ -582,9 +623,9 @@ def verify_decrease(
     and the states the screen keeps are checked in batches of 2**12 carried
     across blocks (the last of each may be partial); each pass allocates
     its own arrays of a block's size.  Apart from the grid's axes, memory
-    grows with the grid only through the lattice's joined region codes,
-    peak rates and required rates, 17 bytes a lattice point, and their
-    folds.  The result is ordered by grid index, then eta slot
+    grows with the grid only through the lattice's region codes and
+    required rates (9 bytes a lattice point), then its three branches' peak
+    rates (24 bytes), and their folds.  The result is ordered by grid index, then eta slot
     (corners first), then fddot (-L before L).  It is a `Violations`: the
     samples' six float64 columns, whose `DecreaseViolation` records are
     built only when read.

@@ -52,6 +52,13 @@ BLOCK = lyapunov._BLOCK_STATES
 P_OVERFLOW = Params(3e154, 1e308, 1.0, 4.0)
 # A box whose certifier cells are proved band by band (see the cell proof's test).
 BANDS_PROVED_BOX = (1.0, 3.0, 0.05, 0.5)
+# Boxes of the cell proof's test whose proved cells include these kinds:
+# (lowest corner code, highest corner code, x1 span meets the band).
+PROVED_KINDS = {
+    (0.05, 0.6, 1.2, 3.0): {(1, 2, False)},
+    (0.3, 2.5, 1.0, 3.0): {(0, 1, False)},
+    (-0.05, -0.009, 0.2, 0.4): {(2, 2, True)},
+}
 
 
 def thresholds(z2, p):
@@ -881,20 +888,48 @@ class TestVerifyDecrease:
     # decreases and most cells are proved), anywhere otherwise.  Random noise
     # bounds (0 included), boxes that cross x2 = 0 and the band, gammas (0
     # included), tolerances, margins and cell sizes.  No state of a proved
-    # cell has a failing sample in the four-slot reference, lies in the
-    # band, is inactive, or lies within eps_cell of a threshold, and all of a
-    # proved cell's states lie in one region and one mirror half.  The cells
-    # only skip work: the result is, bit for bit, that of the same call with
-    # a cell proof that proves nothing.  The first example's box misses
-    # x2 = 0 and the band, and every cell of each band is proved: the open
-    # states skip those bands.  The last four examples have a state
-    # that fails inside a cell whose corners all pass: the proof must keep
-    # its rounding slack, and fold the largest peak rate and the smallest
-    # required rate over all four corners, or it proves that cell.
+    # cell has a failing sample in the four-slot reference; a proved cell's
+    # states lie in one mirror half, and each state's region code lies
+    # between its cell's lowest and highest corner code.  The cells only
+    # skip work: the result is, bit for bit, that of the same call with a
+    # cell proof that proves nothing.  The first example's box misses x2 = 0
+    # and the band, and every cell of each band is proved: the open states
+    # skip those bands.  The next six examples have cells whose corners lie
+    # in more than one region or whose x1 span meets the band: three prove
+    # such cells (see PROVED_KINDS), and three have failing states in one.
+    # The last four examples have a state that fails inside a cell whose
+    # corners all pass: the proof must keep its rounding slack, and fold the
+    # largest peak rate and the smallest required rate over all four
+    # corners, or it proves that cell.
     @settings(max_examples=60)
     @example(  # the reference gains (lambda1 = 4.1000002): seven bands, all proved
         gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=BANDS_PROVED_BOX, counts=(100, 100), cell=16,
         gamma=decay_rate_gamma(P_REF).gamma, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # W1/W2 cells
+        gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=(0.05, 0.6, 1.2, 3.0), counts=(20, 20), cell=4,
+        gamma=decay_rate_gamma(P_REF).gamma, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # W2/W3 cells
+        gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=(0.3, 2.5, 1.0, 3.0), counts=(20, 20), cell=4,
+        gamma=decay_rate_gamma(P_REF).gamma, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # one cell whose corners lie in W1, W2 and W3, with failing states inside
+        gains=(4.0, 1.1, 1.0, 0.5), N=0.0, box=(0.0005, 0.02, 0.1, 0.3), counts=(10, 10), cell=9,
+        gamma=0.05, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # W1 cells whose x1 span meets the band at small |x2|, inside it by 0.001
+        gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=(-0.05, -0.009, 0.2, 0.4), counts=(13, 13), cell=4,
+        gamma=decay_rate_gamma(P_REF).gamma, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # one W1 cell across the band at large |x2| (mirrored), whose in-band
+        # states fail only at eta = x1: without the kink value it is proved
+        gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=(-0.012, 0.012, -3.0, -2.98), counts=(9, 5), cell=8,
+        gamma=3.2, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # the same at small |x2|: one W1 cell whose top row is in the band by 1e-4
+        gains=(4.0, 1.1, 1.0, 0.025), N=0.01, box=(-0.0102, -0.0099, 0.3, 0.302), counts=(4, 5), cell=4,
+        gamma=3.2, tolerance=1e-9, margin=1e-9,
     )
     @example(  # W1 cells with corners on both sides of the band at |x2| >= 2.4
         gains=(4.0, 1.1, 1.0, 0.5), N=0.02, box=(-1.03, 0.97, -3.0, 3.0), counts=(41, 41), cell=4,
@@ -903,6 +938,12 @@ class TestVerifyDecrease:
     @example(  # one W1 cell whose corner (x1 max, x2 min) lies on t1
         gains=(4.0, 1.1, 1.0, 0.5), N=0.0, box=(0.005, thresholds(1.0, P_REF)[0], 1.0, 2.0), counts=(10, 10),
         cell=9, gamma=0.0, tolerance=1e-9, margin=1e-9,
+    )
+    @example(  # the same at lambda2 < 1, where W2's rate is positive: the corner on t1
+        # is also checked on W2 and fails, so a corner within eps_cell of a
+        # threshold keeps its cell open
+        gains=(4.0, 0.5, 1.0, 0.0667), N=0.0, box=(0.005, thresholds(1.0, P_MUTANT)[0], 1.0, 2.0),
+        counts=(10, 10), cell=9, gamma=0.0, tolerance=1e-9, margin=1e-9,
     )
     @example(  # one cell across x2 = 0 whose corners all lie in W1
         gains=(4.0, 1.1, 1.0, 0.5), N=0.0, box=(0.001, 0.009, -0.6, 0.6), counts=(10, 13), cell=12,
@@ -966,22 +1007,48 @@ class TestVerifyDecrease:
             assert proved.all(axis=1).any()
         x1s, x2s = grid.axes()
         x1v, x2v = np.meshgrid(x1s, x2s, indexing="ij")
-        z1, _, t1, t2, v = _thresholds_grid(x1v, x2v, p)
-        eps_cell = 1e-9 * np.maximum(1.0, np.abs(t2))
-        # Region (0, 1 or 2 for W3, W2, W1) and mirror half, as one code.
-        code = (z1 <= t1).astype(int) + (z1 <= t2) + 3 * (x2v < 0)
-        covered = np.zeros((grid.n1, grid.n2), dtype=bool)
+        z1, _, t1, t2, _ = _thresholds_grid(x1v, x2v, p)
+        # The region code, 2 for W1, 1 for W2 and 0 for W3, and each cell's
+        # lowest and highest corner code.
+        code = (z1 <= t1).astype(int) + (z1 <= t2)
+        lattice = code[np.ix_(rows, cols)]
+        corners = [lattice[a : a + rows.size - 1, b : b + cols.size - 1] for a in (0, 1) for b in (0, 1)]
+        low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
+        mirrored, covered = x2v < 0, np.zeros((grid.n1, grid.n2), dtype=bool)
         for i, j in zip(*np.nonzero(proved)):
             cell_states = np.s_[rows[i] : rows[i + 1] + 1, cols[j] : cols[j + 1] + 1]
             covered[cell_states] = True
-            assert (code[cell_states] == code[rows[i], cols[j]]).all()
-        assert (v[covered] > N + margin).all()
-        assert (np.abs(x1v[covered]) > N).all()
-        assert (np.abs(z1 - t1)[covered] > eps_cell[covered]).all()
-        assert (np.abs(z1 - t2)[covered] > eps_cell[covered]).all()
+            assert low[i, j] <= code[cell_states].min() and code[cell_states].max() <= high[i, j]
+            assert mirrored[cell_states].all() or not mirrored[cell_states].any()
+        band = np.broadcast_to(((x1s[rows[:-1]] <= N) & (x1s[rows[1:]] >= -N))[:, None], proved.shape)
+        assert PROVED_KINDS.get(box, set()) <= set(zip(low[proved], high[proved], band[proved]))
         ref = oracles.verify_decrease_four_slot(p, n, grid, gamma, margin=margin, tolerance=tolerance)
         failing = {(r.state.x1, r.state.x2) for _, r in ref}
         assert not any(covered[np.searchsorted(x1s, a), np.searchsorted(x2s, b)] for a, b in failing)
+
+    # The cell proof's reach.  On the benchmark's clean 1500x1500 grid the
+    # cells whose corners lie in two regions, or whose x1 span meets the
+    # band, are proved too: 193 of 8,836 cells and 49,344 states stay open
+    # (420 and 107,136 when only single-region cells off the band were),
+    # about half of them in cells across x2 = 0.  On the 400x400 mutant
+    # probe 169 of 625 cells stay open (179 before).
+    def test_few_cells_stay_open(self, monkeypatch):
+        prove, found = lyapunov._prove_cells, []
+
+        def spy(chk, x1s, x2s, er, ec):
+            proved = prove(chk, x1s, x2s, er, ec)
+            states = np.diff(er)[:, None] * np.diff(ec)
+            found.append((np.count_nonzero(~proved), states[~proved].sum()))
+            return proved
+
+        monkeypatch.setattr(lyapunov, "_prove_cells", spy)
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 1500, 1500)
+        assert len(verify_decrease(P_REF, N_SMALL, grid)) == 0
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 400, 400)
+        assert len(verify_decrease(P_MUTANT, N_SMALL, grid, gamma=decay_rate_gamma(P_REF).gamma)) == 52676
+        (cells, states), (mutant_cells, _) = found
+        assert cells <= 200 and states <= 50_000
+        assert mutant_cells <= 179
 
     # verify_decrease keeps nothing between calls.  Clean and mutant grids
     # of different row lengths, run back to back and interleaved, give the
